@@ -6,8 +6,9 @@
 //! `WANTS_HOST_PROFILE` gate must keep it at the pre-profiler
 //! throughput recorded in the `results/BENCH_*.json` trajectory
 //! (`bench-cmp` in `scripts/ci.sh` enforces that). The `profiler_on`
-//! case quantifies what turning the instrumentation on costs — two
-//! `Instant` reads per stage per cycle — so regressions in the
+//! case quantifies what turning the instrumentation on costs — exact
+//! per-event and per-cycle counts, plus seven `Instant` reads on one
+//! sampled cycle in `STAGE_CLOCK_PERIOD` — so regressions in the
 //! profiled path itself are visible too. Deltas go to
 //! `results/BENCH_hostprof.json` (schema in EXPERIMENTS.md).
 
@@ -61,14 +62,17 @@ fn main() {
     let on = run_on(&trace);
     assert_eq!(off, on, "HostProfiler must not change simulation statistics");
 
-    h.bench("hostprof/profiler_off", || {
-        black_box(run_off(&trace));
-    });
-    let off_best = h.results().last().expect("case just ran").min();
-    h.bench("hostprof/profiler_on", || {
-        black_box(run_on(&trace));
-    });
-    let on_best = h.results().last().expect("case just ran").min();
+    // Interleaved: the on/off ratio is the result, and a shared host's
+    // speed drifts over the seconds a case takes.
+    h.bench_interleaved(&mut [
+        ("hostprof/profiler_off", &mut || {
+            black_box(run_off(&trace));
+        }),
+        ("hostprof/profiler_on", &mut || {
+            black_box(run_on(&trace));
+        }),
+    ]);
+    let [off_best, on_best] = [0, 1].map(|i| h.results()[i].min());
 
     println!();
     println!(

@@ -88,6 +88,31 @@ impl Harness {
             f();
             sorted.push(t.elapsed());
         }
+        self.record(name, sorted);
+    }
+
+    /// Times several cases one sample of each in turn, so the slow and
+    /// fast phases of a shared host land on every case alike, then
+    /// prints one row per case. Use it when the cases' ratio is the
+    /// result.
+    pub fn bench_interleaved(&mut self, cases: &mut [(&str, &mut dyn FnMut())]) {
+        for (_, f) in cases.iter_mut() {
+            f(); // warm-up
+        }
+        let mut samples = vec![Vec::with_capacity(self.samples); cases.len()];
+        for _ in 0..self.samples {
+            for ((_, f), times) in cases.iter_mut().zip(&mut samples) {
+                let t = Instant::now();
+                f();
+                times.push(t.elapsed());
+            }
+        }
+        for ((name, _), times) in cases.iter().zip(samples) {
+            self.record(name, times);
+        }
+    }
+
+    fn record(&mut self, name: &str, mut sorted: Vec<Duration>) {
         sorted.sort();
         let r = CaseResult { name: name.to_string(), sorted };
         println!(
@@ -164,6 +189,20 @@ mod tests {
         assert_eq!(j.get("cases").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
         let prov = j.get("provenance").expect("harness documents carry provenance");
         assert!(clustered_stats::Provenance::from_json(prov).is_some());
+    }
+
+    #[test]
+    fn interleaved_cases_alternate_sample_by_sample() {
+        let mut h = Harness { name: "t".into(), samples: 3, results: Vec::new() };
+        let order = std::cell::RefCell::new(Vec::new());
+        h.bench_interleaved(&mut [
+            ("a", &mut || order.borrow_mut().push('a')),
+            ("b", &mut || order.borrow_mut().push('b')),
+        ]);
+        assert_eq!(order.into_inner().iter().collect::<String>(), "abababab", "warm-ups, then turns");
+        let names: Vec<&str> = h.results().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert!(h.results().iter().all(|r| r.sorted.len() == 3));
     }
 
     /// Summaries are total: an empty case reports zeros instead of

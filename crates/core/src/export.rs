@@ -446,23 +446,25 @@ mod tests {
         assert!(decisions_jsonl(&[]).is_empty());
     }
 
-    /// Drives a [`HostProfiler`] by hand through two 10-cycle slices.
+    /// Drives a [`HostProfiler`] by hand through two 10-cycle slices,
+    /// timing every cycle.
     fn profiled_host() -> HostProfiler {
-        use clustered_sim::QueueHealth;
+        use clustered_sim::{EventKind, QueueHealth};
         let mut p = HostProfiler::new(10);
         for cycle in 1..=20u64 {
+            p.on_event_drained((cycle % 2) as usize, EventKind::WriteBack);
             p.on_stage_nanos(&[40, 30, 20, 5, 4, 1]);
-            p.on_event_drained((cycle % 2) as usize);
             p.on_queue_health(&QueueHealth {
                 cycle,
                 calendar_events: 5,
                 overflow_events: 1,
                 floor: cycle,
+                floor_advance: 1,
                 queued_mask: 0b111,
                 active_clusters: 4,
                 configured_clusters: 16,
-                intra_threads: 0,
             });
+            p.on_busy_clusters(cycle, 0b111);
         }
         p
     }
@@ -520,8 +522,8 @@ mod tests {
         assert_eq!(host_spans[0].get("dur").and_then(Json::as_u64), Some(10));
         assert_eq!(
             host_spans[0].get("args").and_then(|a| a.get("nanos")).and_then(Json::as_u64),
-            Some(400),
-            "10 cycles × 40 ns of event drain"
+            Some(10 * 40 * clustered_sim::STAGE_CLOCK_PERIOD),
+            "10 timed cycles × 40 ns of event drain, scaled by the clock period"
         );
 
         // Queue-depth counters land on their own ph:"C" tracks at the

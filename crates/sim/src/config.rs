@@ -302,14 +302,6 @@ pub struct SimConfig {
     pub cache: CacheParams,
     /// Functional-unit latencies.
     pub exec: ExecLatencies,
-    /// Host threads for intra-run parallelism (the `--intra-jobs`
-    /// flag): `0` — the default — runs the sequential oracle loop;
-    /// `n >= 1` runs the batched drain/issue path with `min(n,
-    /// clusters)` threads. A *host execution* knob, not a simulated
-    /// parameter: every value computes the bit-identical schedule
-    /// (pinned by `tests/parallel_equivalence.rs`), so it is excluded
-    /// from [`SimConfig::digest`].
-    pub intra_jobs: usize,
 }
 
 impl SimConfig {
@@ -418,13 +410,7 @@ impl SimConfig {
             interconnect,
             cache,
             exec,
-            intra_jobs,
         } = self;
-        // Deliberately not digested: intra-run threading is a host
-        // execution strategy and the schedule is thread-count
-        // invariant, so runs at different `--intra-jobs` stay
-        // comparable under one digest.
-        let _ = intra_jobs;
         let ClusterParams {
             count,
             int_regs,
@@ -648,19 +634,6 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.frontend.dispatch_width = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    /// `intra_jobs` is a host-execution knob: the schedule is
-    /// thread-count invariant, so runs at different settings must stay
-    /// comparable under one provenance digest.
-    #[test]
-    fn intra_jobs_is_a_host_knob_and_does_not_move_the_digest() {
-        let base = SimConfig::default();
-        assert_eq!(base.intra_jobs, 0, "the sequential oracle is the default");
-        let mut threaded = base;
-        threaded.intra_jobs = 4;
-        assert_eq!(base.digest(), threaded.digest());
-        assert!(threaded.validate().is_ok());
     }
 
     /// The provenance contract: the digest is a pure function of the

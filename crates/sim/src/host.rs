@@ -4,32 +4,91 @@
 //! The guest observability layer ([`SimObserver`](crate::SimObserver),
 //! `SimStats`) describes the simulated machine; this module describes
 //! the simulator itself. A [`HostProfiler`] attaches through the same
-//! observer seam and, when enabled, the cycle loop attributes its
-//! monotonic wall-clock to per-stage buckets
+//! observer seam. The cycle loop then counts every drained event (by
+//! shard and by [`EventKind`]) and every cycle's busy clusters exactly,
+//! and on a deterministic sample of cycles — one in
+//! [`STAGE_CLOCK_PERIOD`], chosen by [`is_timed_cycle`] — attributes
+//! its monotonic wall-clock to per-stage buckets
 //! (fetch/dispatch/issue/commit/event-drain) and samples calendar-queue
-//! health and per-cluster load skew every cycle.
+//! health. Stage times are scaled up from the timed cycles.
 //!
 //! The gate is compile-time, in the `WANTS_DECISIONS` style: the
 //! processor consults
 //! [`SimObserver::WANTS_HOST_PROFILE`](crate::SimObserver::WANTS_HOST_PROFILE)
-//! — a `const` — to pick between the unmodified cycle loop and the
-//! instrumented one, so a profiler-off build (the default
-//! [`NullObserver`](crate::NullObserver)) monomorphizes to exactly the
-//! code that existed before this module did. Profiling changes *no*
+//! — a `const` — so a profiler-off build (the default
+//! [`NullObserver`](crate::NullObserver)) compiles the clock reads and
+//! hooks out of its one cycle-loop body. Profiling changes *no*
 //! simulated behaviour either way: the hooks only read machine state,
 //! and the bit-identical-stats tests pin it.
 //!
-//! Why these measurements: the ROADMAP's parallel-intra-run bet needs
-//! per-cluster load-skew data to choose partitions, and the
-//! sweep-service bet needs sim-cycles/sec throughput numbers per
-//! configuration — both are host properties no `SimStats` counter can
-//! see.
+//! Why sample: a clock read costs tens of nanoseconds against a few
+//! hundred nanoseconds of work per simulated cycle, so reading it
+//! around every stage of every cycle nearly halved the simulator's
+//! speed. Timing one cycle in [`STAGE_CLOCK_PERIOD`] keeps the stage
+//! shares while leaving the profiler cheap enough to stay on.
+//!
+//! Why these measurements: stage shares say which layer an
+//! optimisation must move, per-[`EventKind`] drain counts say what the
+//! largest stage (event drain) is spending its time on, and
+//! sim-cycles/sec per configuration is the throughput figure every
+//! speed claim is stated in — host properties no `SimStats` counter
+//! can see.
 
 use crate::config::MAX_CLUSTERS;
+use crate::observe::{EventKind, EVENT_KIND_COUNT};
 use clustered_stats::{Histogram, Json};
+use std::sync::OnceLock;
+use std::time::Instant;
+
+/// Bytes of the busy-cluster mask the profiler tallies.
+const BUSY_MASK_BYTES: usize = MAX_CLUSTERS.div_ceil(8);
 
 /// Number of wall-clock stage buckets the profiled cycle loop reports.
 pub const HOST_STAGE_COUNT: usize = 6;
+
+/// Period of the sampled stage clock: exactly one cycle in each aligned
+/// block of this many simulated cycles is timed.
+pub const STAGE_CLOCK_PERIOD: u64 = 64;
+
+const _: () = assert!(STAGE_CLOCK_PERIOD.is_power_of_two());
+
+/// Whether the cycle loop reads the stage clock on simulated cycle
+/// `cycle`.
+///
+/// Cycles are grouped into aligned blocks of [`STAGE_CLOCK_PERIOD`];
+/// in each block the timed cycle's offset is a fixed hash (the
+/// splitmix64 finaliser) of the block index. The choice depends on the
+/// cycle number alone — not on profiler state — so identical runs time
+/// identical cycles and a warm-up `reset()` moves nothing; the hash
+/// keeps periodic program behaviour from aliasing with the sample;
+/// and the blocks bound the sample count to within one of
+/// `cycles / STAGE_CLOCK_PERIOD`.
+#[inline]
+pub fn is_timed_cycle(cycle: u64) -> bool {
+    let mut z = (cycle / STAGE_CLOCK_PERIOD).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    cycle % STAGE_CLOCK_PERIOD == z % STAGE_CLOCK_PERIOD
+}
+
+/// What one stage interval costs when it times nothing: the median of
+/// 1001 empty `Instant` intervals, measured once per process. Each
+/// stage interval of a timed cycle spans one clock read, so the cycle
+/// loop subtracts this from every interval it reports.
+pub(crate) fn clock_read_nanos() -> u64 {
+    static NANOS: OnceLock<u64> = OnceLock::new();
+    *NANOS.get_or_init(|| {
+        let mut samples: Vec<u64> = (0..1_001)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(start).elapsed().as_nanos() as u64
+            })
+            .collect();
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    })
+}
 
 /// One wall-clock bucket of the cycle loop.
 ///
@@ -78,8 +137,8 @@ impl HostStage {
     }
 }
 
-/// One per-cycle sample of event-queue and quiescence health, taken at
-/// the end of a profiled cycle.
+/// One sample of event-queue and quiescence health, taken at the end
+/// of a timed cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueHealth {
     /// The cycle the sample describes.
@@ -91,17 +150,14 @@ pub struct QueueHealth {
     /// The event floor watermark (lower bound on every undelivered
     /// event time).
     pub floor: u64,
+    /// How far the floor rose during this cycle.
+    pub floor_advance: u64,
     /// Bit `c` set ⇔ cluster `c` had queued instructions this cycle.
     pub queued_mask: u32,
     /// Active clusters this cycle.
     pub active_clusters: usize,
     /// Physically configured clusters.
     pub configured_clusters: usize,
-    /// Intra-run pool participants driving this run: `0` on the
-    /// sequential oracle path, otherwise the thread count of the
-    /// `--intra-jobs` pool (1 = batched path, single-threaded). Lets
-    /// the profiler fold per-cluster load onto the worker partition.
-    pub intra_threads: usize,
 }
 
 /// One aggregated slice of the host-time timeline: stage wall-clock
@@ -113,12 +169,15 @@ pub struct HostSlice {
     pub start_cycle: u64,
     /// Last cycle covered.
     pub end_cycle: u64,
-    /// Wall-clock nanoseconds per stage over the slice, in
-    /// [`HostStage::ALL`] order.
+    /// Estimated wall-clock nanoseconds per stage over the slice, in
+    /// [`HostStage::ALL`] order: the timed cycles' nanoseconds times
+    /// [`STAGE_CLOCK_PERIOD`].
     pub stage_nanos: [u64; HOST_STAGE_COUNT],
-    /// Calendar-queue events pending at the slice end.
+    /// Timed cycles in the slice (the sample behind `stage_nanos`).
+    pub timed_cycles: u64,
+    /// Calendar-queue events pending at the slice's last timed cycle.
     pub calendar_events: usize,
-    /// Overflow-heap events pending at the slice end.
+    /// Overflow-heap events pending at the slice's last timed cycle.
     pub overflow_events: usize,
     /// Busy (non-quiescent) clusters at the slice end.
     pub busy_clusters: u32,
@@ -134,18 +193,22 @@ pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 pub const DEFAULT_SLICE_CAP: usize = 65_536;
 
 /// The host-performance observer: stage wall-clock attribution,
-/// calendar-queue health histograms, and per-cluster load skew.
+/// calendar-queue health histograms, drain counts and per-cluster load
+/// skew.
 ///
 /// Attach it like any observer; its
 /// [`WANTS_HOST_PROFILE`](crate::SimObserver::WANTS_HOST_PROFILE) flag
-/// switches the processor onto the instrumented cycle loop. All data is
-/// purely host-side: a profiled run's `SimStats` are bit-identical to
-/// an unprofiled one.
+/// switches the cycle loop's profiling hooks on. Stage times, shares,
+/// slices and the four histograms come from the timed cycles (see
+/// [`is_timed_cycle`]); cycle, drain, quiescence and busy-cycle counts
+/// are exact. All data is purely host-side: a profiled run's
+/// `SimStats` are bit-identical to an unprofiled one.
 #[derive(Debug, Clone)]
 pub struct HostProfiler {
     sample_interval: u64,
     slice_cap: usize,
     cycles: u64,
+    timed_cycles: u64,
     stage_nanos: [u64; HOST_STAGE_COUNT],
     ring_occupancy: Histogram,
     overflow_depth: Histogram,
@@ -153,14 +216,20 @@ pub struct HostProfiler {
     busy_clusters: Histogram,
     fully_quiescent_cycles: u64,
     drained_events: [u64; MAX_CLUSTERS],
+    drained_by_kind: [u64; EVENT_KIND_COUNT],
     drained_total: u64,
-    cluster_busy_cycles: [u64; MAX_CLUSTERS],
-    intra_threads: usize,
-    last_floor: Option<u64>,
+    /// End-of-cycle busy masks tallied per byte: `busy_by_byte[h][b]`
+    /// counts the cycles whose mask byte `h` was `b`. Two increments a
+    /// cycle, however many clusters are busy; the per-cluster counts
+    /// are folded out on demand.
+    busy_by_byte: [[u64; 256]; BUSY_MASK_BYTES],
+    /// `(calendar, overflow)` events at the last timed cycle.
+    last_depths: (usize, usize),
     slices: Vec<HostSlice>,
     dropped_slices: u64,
     slice_start: Option<u64>,
     stage_at_slice: [u64; HOST_STAGE_COUNT],
+    timed_at_slice: u64,
     drained_at_slice: u64,
 }
 
@@ -172,7 +241,8 @@ impl Default for HostProfiler {
 
 impl HostProfiler {
     /// A profiler whose timeline aggregates one slice per
-    /// `sample_interval` simulated cycles.
+    /// `sample_interval` simulated cycles. The slice width is unrelated
+    /// to the stage clock's fixed [`STAGE_CLOCK_PERIOD`].
     ///
     /// # Panics
     ///
@@ -193,6 +263,7 @@ impl HostProfiler {
             sample_interval,
             slice_cap,
             cycles: 0,
+            timed_cycles: 0,
             stage_nanos: [0; HOST_STAGE_COUNT],
             ring_occupancy: Histogram::log2(),
             overflow_depth: Histogram::log2(),
@@ -200,45 +271,54 @@ impl HostProfiler {
             busy_clusters: Histogram::linear(1, MAX_CLUSTERS + 1),
             fully_quiescent_cycles: 0,
             drained_events: [0; MAX_CLUSTERS],
+            drained_by_kind: [0; EVENT_KIND_COUNT],
             drained_total: 0,
-            cluster_busy_cycles: [0; MAX_CLUSTERS],
-            intra_threads: 0,
-            last_floor: None,
+            busy_by_byte: [[0; 256]; BUSY_MASK_BYTES],
+            last_depths: (0, 0),
             slices: Vec::new(),
             dropped_slices: 0,
             slice_start: None,
             stage_at_slice: [0; HOST_STAGE_COUNT],
+            timed_at_slice: 0,
             drained_at_slice: 0,
         }
     }
 
     /// Discards everything collected so far (e.g. after a warm-up, so
     /// the profile covers only the measured window). The sampling
-    /// configuration is kept.
+    /// configuration is kept, and which cycles are timed does not
+    /// change: that depends on the cycle number alone.
     pub fn reset(&mut self) {
         *self = HostProfiler::with_cap(self.sample_interval, self.slice_cap);
     }
 
-    /// Profiled cycles.
+    /// Profiled cycles (every cycle, timed or not).
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
-    /// Wall-clock nanoseconds attributed to each stage, in
-    /// [`HostStage::ALL`] order.
+    /// Cycles whose stages were timed: the sample behind every stage
+    /// time, share and histogram.
+    pub fn timed_cycles(&self) -> u64 {
+        self.timed_cycles
+    }
+
+    /// Estimated wall-clock nanoseconds spent in each stage, in
+    /// [`HostStage::ALL`] order: the timed cycles' nanoseconds times
+    /// [`STAGE_CLOCK_PERIOD`].
     pub fn stage_nanos(&self) -> &[u64; HOST_STAGE_COUNT] {
         &self.stage_nanos
     }
 
-    /// Total measured loop wall-clock (the sum of every stage bucket),
+    /// Estimated total loop wall-clock (the sum of every stage bucket),
     /// in nanoseconds. Stage shares are fractions of this, so they sum
     /// to 1 by construction.
     pub fn loop_nanos(&self) -> u64 {
         self.stage_nanos.iter().sum()
     }
 
-    /// Fraction of the measured loop time spent in `stage` (0.0 for an
-    /// empty profile).
+    /// Fraction of the loop time spent in `stage` (0.0 for an empty
+    /// profile).
     pub fn stage_share(&self, stage: HostStage) -> f64 {
         let total = self.loop_nanos();
         if total == 0 {
@@ -253,15 +333,29 @@ impl HostProfiler {
         &self.drained_events
     }
 
+    /// Events drained per kind, in [`EventKind::ALL`] order.
+    pub fn drained_by_kind(&self) -> &[u64; EVENT_KIND_COUNT] {
+        &self.drained_by_kind
+    }
+
     /// Total events drained.
     pub fn drained_total(&self) -> u64 {
         self.drained_total
     }
 
-    /// Cycles each cluster spent busy (non-quiescent), as seen by the
-    /// per-cycle health samples.
-    pub fn cluster_busy_cycles(&self) -> &[u64; MAX_CLUSTERS] {
-        &self.cluster_busy_cycles
+    /// Cycles each cluster spent busy (non-quiescent) at end of cycle.
+    pub fn cluster_busy_cycles(&self) -> [u64; MAX_CLUSTERS] {
+        let mut busy = [0; MAX_CLUSTERS];
+        for (h, table) in self.busy_by_byte.iter().enumerate() {
+            for (byte, &n) in table.iter().enumerate() {
+                let mut m = byte;
+                while m != 0 {
+                    busy[8 * h + m.trailing_zeros() as usize] += n;
+                    m &= m - 1;
+                }
+            }
+        }
+        busy
     }
 
     /// Cycles in which *no* cluster had queued instructions.
@@ -279,44 +373,9 @@ impl HostProfiler {
         self.dropped_slices
     }
 
-    /// Intra-run pool participants observed in the health samples
-    /// (`0` = sequential oracle path).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
-    }
-
-    /// Folds a per-cluster counter array onto the intra-run worker
-    /// partition (worker `t` owns clusters `t, t + threads, …` — the
-    /// pool's strided split). Empty when no intra-run pool was active.
-    fn per_thread(&self, per_cluster: &[u64; MAX_CLUSTERS]) -> Vec<u64> {
-        let threads = self.intra_threads;
-        if threads == 0 {
-            return Vec::new();
-        }
-        let mut out = vec![0u64; threads];
-        for (c, &n) in per_cluster.iter().enumerate() {
-            out[c % threads] += n;
-        }
-        out
-    }
-
-    /// Events drained per intra-run worker (empty without a pool):
-    /// partition imbalance at a glance.
-    pub fn drained_per_thread(&self) -> Vec<u64> {
-        self.per_thread(&self.drained_events)
-    }
-
-    /// Busy cluster-cycles per intra-run worker (empty without a
-    /// pool).
-    pub fn busy_cycles_per_thread(&self) -> Vec<u64> {
-        self.per_thread(&self.cluster_busy_cycles)
-    }
-
     /// Load skew across clusters that drained at least one event:
     /// max/mean of per-cluster drained events (1.0 = perfectly even,
-    /// 0.0 when nothing drained). The parallel-partitioning work reads
-    /// this to decide whether even cluster-per-thread partitions are
-    /// defensible.
+    /// 0.0 when nothing drained).
     pub fn drained_skew(&self) -> f64 {
         let active: Vec<u64> =
             self.drained_events.iter().copied().filter(|&n| n > 0).collect();
@@ -340,13 +399,19 @@ impl HostProfiler {
                     .set("share", self.stage_share(*stage)),
             );
         }
+        let mut by_kind = Json::object();
+        for kind in EventKind::ALL {
+            by_kind = by_kind.set(kind.as_str(), self.drained_by_kind[kind.index()]);
+        }
         let drained: Vec<Json> =
             self.drained_events.iter().map(|&n| Json::from(n)).collect();
         let busy: Vec<Json> =
-            self.cluster_busy_cycles.iter().map(|&n| Json::from(n)).collect();
+            self.cluster_busy_cycles().iter().map(|&n| Json::from(n)).collect();
         let slices: Vec<Json> = self.slices.iter().map(slice_json).collect();
         Json::object()
             .set("cycles", self.cycles)
+            .set("timed_cycles", self.timed_cycles)
+            .set("stage_clock_period", STAGE_CLOCK_PERIOD)
             .set("loop_nanos", self.loop_nanos())
             .set("stages", stages)
             .set(
@@ -355,7 +420,8 @@ impl HostProfiler {
                     .set("ring_occupancy", self.ring_occupancy.to_json())
                     .set("overflow_depth", self.overflow_depth.to_json())
                     .set("floor_advance", self.floor_advance.to_json())
-                    .set("drained_events", self.drained_total),
+                    .set("drained_events", self.drained_total)
+                    .set("drained_by_kind", by_kind),
             )
             .set(
                 "skew",
@@ -364,36 +430,26 @@ impl HostProfiler {
                     .set("busy_cycles_per_cluster", Json::Arr(busy))
                     .set("busy_clusters", self.busy_clusters.to_json())
                     .set("fully_quiescent_cycles", self.fully_quiescent_cycles)
-                    .set("drained_skew", self.drained_skew())
-                    .set("intra_threads", self.intra_threads as u64)
-                    .set(
-                        "drained_per_thread",
-                        Json::Arr(self.drained_per_thread().into_iter().map(Json::from).collect()),
-                    )
-                    .set(
-                        "busy_cycles_per_thread",
-                        Json::Arr(
-                            self.busy_cycles_per_thread().into_iter().map(Json::from).collect(),
-                        ),
-                    ),
+                    .set("drained_skew", self.drained_skew()),
             )
             .set("sample_interval", self.sample_interval)
             .set("slices", Json::Arr(slices))
             .set("dropped_slices", self.dropped_slices)
     }
 
-    fn close_slice(&mut self, sample: &QueueHealth, start: u64) {
+    fn close_slice(&mut self, start: u64, end: u64, queued_mask: u32) {
         let mut stage_nanos = [0u64; HOST_STAGE_COUNT];
         for (i, n) in stage_nanos.iter_mut().enumerate() {
             *n = self.stage_nanos[i] - self.stage_at_slice[i];
         }
         let slice = HostSlice {
             start_cycle: start,
-            end_cycle: sample.cycle,
+            end_cycle: end,
             stage_nanos,
-            calendar_events: sample.calendar_events,
-            overflow_events: sample.overflow_events,
-            busy_clusters: sample.queued_mask.count_ones(),
+            timed_cycles: self.timed_cycles - self.timed_at_slice,
+            calendar_events: self.last_depths.0,
+            overflow_events: self.last_depths.1,
+            busy_clusters: queued_mask.count_ones(),
             drained: self.drained_total - self.drained_at_slice,
         };
         if self.slices.len() < self.slice_cap {
@@ -402,8 +458,9 @@ impl HostProfiler {
             self.dropped_slices += 1;
         }
         self.stage_at_slice = self.stage_nanos;
+        self.timed_at_slice = self.timed_cycles;
         self.drained_at_slice = self.drained_total;
-        self.slice_start = Some(sample.cycle);
+        self.slice_start = Some(end);
     }
 }
 
@@ -423,6 +480,7 @@ fn slice_json(s: &HostSlice) -> Json {
         .set("start_cycle", s.start_cycle)
         .set("end_cycle", s.end_cycle)
         .set("stage_nanos", stages)
+        .set("timed_cycles", s.timed_cycles)
         .set("calendar_events", s.calendar_events)
         .set("overflow_events", s.overflow_events)
         .set("busy_clusters", u64::from(s.busy_clusters))
@@ -433,44 +491,40 @@ impl crate::observe::SimObserver for HostProfiler {
     const WANTS_HOST_PROFILE: bool = true;
 
     fn on_stage_nanos(&mut self, nanos: &[u64; HOST_STAGE_COUNT]) {
-        self.cycles += 1;
+        self.timed_cycles += 1;
         for (bucket, n) in self.stage_nanos.iter_mut().zip(nanos) {
-            *bucket += n;
+            *bucket += n * STAGE_CLOCK_PERIOD;
         }
     }
 
     fn on_queue_health(&mut self, sample: &QueueHealth) {
         self.ring_occupancy.record(sample.calendar_events as u64);
         self.overflow_depth.record(sample.overflow_events as u64);
-        if let Some(last) = self.last_floor {
-            self.floor_advance.record(sample.floor.saturating_sub(last));
-        }
-        self.last_floor = Some(sample.floor);
-        self.intra_threads = self.intra_threads.max(sample.intra_threads);
-        let busy = sample.queued_mask.count_ones();
-        self.busy_clusters.record(u64::from(busy));
-        if busy == 0 {
+        self.floor_advance.record(sample.floor_advance);
+        self.busy_clusters.record(u64::from(sample.queued_mask.count_ones()));
+        self.last_depths = (sample.calendar_events, sample.overflow_events);
+    }
+
+    fn on_busy_clusters(&mut self, cycle: u64, queued_mask: u32) {
+        self.cycles += 1;
+        if queued_mask == 0 {
             self.fully_quiescent_cycles += 1;
         }
-        let mut m = sample.queued_mask;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if c < MAX_CLUSTERS {
-                self.cluster_busy_cycles[c] += 1;
-            }
+        for (h, table) in self.busy_by_byte.iter_mut().enumerate() {
+            table[(queued_mask >> (8 * h)) as usize & 0xff] += 1;
         }
         match self.slice_start {
-            None => self.slice_start = Some(sample.cycle.saturating_sub(1)),
-            Some(start) if sample.cycle - start >= self.sample_interval => {
-                self.close_slice(sample, start);
+            None => self.slice_start = Some(cycle.saturating_sub(1)),
+            Some(start) if cycle - start >= self.sample_interval => {
+                self.close_slice(start, cycle, queued_mask);
             }
             Some(_) => {}
         }
     }
 
-    fn on_event_drained(&mut self, shard: usize) {
+    fn on_event_drained(&mut self, shard: usize, kind: EventKind) {
         self.drained_total += 1;
+        self.drained_by_kind[kind.index()] += 1;
         if shard < MAX_CLUSTERS {
             self.drained_events[shard] += 1;
         }
@@ -488,20 +542,46 @@ mod tests {
             calendar_events: 3,
             overflow_events: 0,
             floor: cycle,
+            floor_advance: 1,
             queued_mask: mask,
             active_clusters: 4,
             configured_clusters: 16,
-            intra_threads: 0,
         }
     }
 
+    /// One profiled cycle as the cycle loop delivers it: on a timed
+    /// cycle the stage nanos and the queue sample, then the busy mask.
+    fn cycle(p: &mut HostProfiler, cycle: u64, nanos: &[u64; HOST_STAGE_COUNT], mask: u32) {
+        if is_timed_cycle(cycle) {
+            p.on_stage_nanos(nanos);
+            p.on_queue_health(&health(cycle, mask));
+        }
+        p.on_busy_clusters(cycle, mask);
+    }
+
     #[test]
-    fn stage_shares_partition_the_loop_time() {
-        let mut p = HostProfiler::new(100);
+    fn one_cycle_per_block_is_timed() {
+        for block in 0..1_000u64 {
+            let cycles = block * STAGE_CLOCK_PERIOD..(block + 1) * STAGE_CLOCK_PERIOD;
+            assert_eq!(cycles.filter(|&c| is_timed_cycle(c)).count(), 1, "block {block}");
+        }
+        // The offset within a block moves: a fixed offset would alias
+        // with program loops whose period divides the block.
+        let offsets: std::collections::BTreeSet<u64> = (0..64 * STAGE_CLOCK_PERIOD)
+            .filter(|&c| is_timed_cycle(c))
+            .map(|c| c % STAGE_CLOCK_PERIOD)
+            .collect();
+        assert!(offsets.len() > STAGE_CLOCK_PERIOD as usize / 2, "{} offsets", offsets.len());
+    }
+
+    #[test]
+    fn stage_times_scale_the_timed_cycles_and_partition_the_loop() {
+        let mut p = HostProfiler::new(1_000);
         p.on_stage_nanos(&[10, 20, 30, 15, 20, 5]);
         p.on_stage_nanos(&[10, 20, 30, 15, 20, 5]);
-        assert_eq!(p.cycles(), 2);
-        assert_eq!(p.loop_nanos(), 200);
+        assert_eq!(p.timed_cycles(), 2);
+        assert_eq!(p.cycles(), 0, "only the per-cycle hook counts cycles");
+        assert_eq!(p.loop_nanos(), 200 * STAGE_CLOCK_PERIOD);
         let total: f64 = HostStage::ALL.iter().map(|&s| p.stage_share(s)).sum();
         assert!((total - 1.0).abs() < 1e-12, "shares sum to 1, got {total}");
         assert_eq!(p.stage_share(HostStage::Issue), 0.3);
@@ -509,40 +589,20 @@ mod tests {
     }
 
     #[test]
-    fn queue_health_feeds_histograms_and_skew_counters() {
+    fn busy_masks_count_every_cycle_and_samples_feed_histograms() {
         let mut p = HostProfiler::new(1_000);
-        p.on_queue_health(&health(1, 0b101)); // clusters 0 and 2 busy
+        p.on_busy_clusters(1, 0b101); // clusters 0 and 2 busy
+        p.on_busy_clusters(2, 0);
         p.on_queue_health(&health(2, 0));
+        assert_eq!(p.cycles(), 2);
         assert_eq!(p.cluster_busy_cycles()[0], 1);
         assert_eq!(p.cluster_busy_cycles()[1], 0);
         assert_eq!(p.cluster_busy_cycles()[2], 1);
         assert_eq!(p.fully_quiescent_cycles(), 1);
-        assert_eq!(p.busy_clusters.count(), 2);
-        // Floor advance is a delta: only the second sample records one.
+        // Histograms hold the timed samples only.
+        assert_eq!(p.busy_clusters.count(), 1);
         assert_eq!(p.floor_advance.count(), 1);
-    }
-
-    /// Per-cluster load folds onto the pool's strided worker
-    /// partition (cluster `c` → worker `c % threads`); without a pool
-    /// the per-thread views are empty.
-    #[test]
-    fn per_thread_views_fold_the_strided_partition() {
-        let mut p = HostProfiler::default();
-        assert!(p.drained_per_thread().is_empty(), "no pool, no per-thread view");
-        let mut sample = health(1, 0b111); // clusters 0..=2 busy
-        sample.intra_threads = 2;
-        p.on_queue_health(&sample);
-        for shard in [0, 0, 1, 2, 2, 2] {
-            p.on_event_drained(shard);
-        }
-        assert_eq!(p.intra_threads(), 2);
-        // Worker 0 owns clusters 0 and 2 (2 + 3 drains, 2 busy);
-        // worker 1 owns cluster 1 (1 drain, 1 busy).
-        assert_eq!(p.drained_per_thread(), vec![5, 1]);
-        assert_eq!(p.busy_cycles_per_thread(), vec![2, 1]);
-        let j = p.to_json();
-        let skew = j.get("skew").expect("skew section");
-        assert_eq!(skew.get("intra_threads"), Some(&Json::from(2u64)));
+        assert_eq!(p.ring_occupancy.count(), 1);
     }
 
     #[test]
@@ -550,10 +610,10 @@ mod tests {
         let mut p = HostProfiler::default();
         assert_eq!(p.drained_skew(), 0.0, "empty profile has no skew");
         for _ in 0..6 {
-            p.on_event_drained(0);
+            p.on_event_drained(0, EventKind::WriteBack);
         }
-        p.on_event_drained(1);
-        p.on_event_drained(1);
+        p.on_event_drained(1, EventKind::WriteBack);
+        p.on_event_drained(1, EventKind::WriteBack);
         assert_eq!(p.drained_total(), 8);
         assert_eq!(p.drained_events()[0], 6);
         assert_eq!(p.drained_events()[1], 2);
@@ -562,34 +622,71 @@ mod tests {
     }
 
     #[test]
-    fn timeline_slices_aggregate_per_interval_and_cap() {
-        let mut p = HostProfiler::with_cap(10, 2);
-        for cycle in 1..=45u64 {
-            p.on_stage_nanos(&[1, 1, 1, 1, 1, 1]);
-            p.on_event_drained(0);
-            p.on_queue_health(&health(cycle, 1));
+    fn drained_events_are_counted_per_kind() {
+        let mut p = HostProfiler::default();
+        let drains = [
+            (0, EventKind::WriteBack),
+            (1, EventKind::WriteBack),
+            (1, EventKind::LoadAddr),
+            (2, EventKind::LoadAtLsq),
+            (2, EventKind::StoreResolved),
+            (3, EventKind::StoreResolved),
+            (3, EventKind::StoreResolved),
+        ];
+        for (shard, kind) in drains {
+            p.on_event_drained(shard, kind);
         }
-        // Slices close at cycles 10, 20, 30, 40; cap 2 keeps the first
-        // two and counts the rest.
+        assert_eq!(p.drained_by_kind(), &[2, 1, 0, 1, 3]);
+        assert_eq!(p.drained_by_kind().iter().sum::<u64>(), p.drained_total());
+        let j = p.to_json();
+        let by_kind = j.get("queue").and_then(|q| q.get("drained_by_kind")).expect("per-kind");
+        assert_eq!(
+            by_kind.keys().unwrap(),
+            vec!["write_back", "load_addr", "store_addr", "load_at_lsq", "store_resolved"]
+        );
+        assert_eq!(by_kind.get("store_resolved"), Some(&Json::from(3u64)));
+        assert_eq!(by_kind.get("store_addr"), Some(&Json::from(0u64)));
+    }
+
+    #[test]
+    fn timeline_slices_aggregate_per_interval_and_cap() {
+        let mut p = HostProfiler::with_cap(100, 2);
+        for c in 1..=450u64 {
+            p.on_event_drained(0, EventKind::WriteBack);
+            cycle(&mut p, c, &[1; HOST_STAGE_COUNT], 1);
+        }
+        // Slices close at cycles 100, 200, 300, 400; cap 2 keeps the
+        // first two and counts the rest.
         assert_eq!(p.slices().len(), 2);
         assert_eq!(p.dropped_slices(), 2);
         let s = &p.slices()[0];
-        assert_eq!((s.start_cycle, s.end_cycle), (0, 10));
-        assert_eq!(s.stage_nanos.iter().sum::<u64>(), 60, "10 cycles × 6 ns");
-        assert_eq!(s.drained, 10);
-        assert_eq!(p.slices()[1].start_cycle, 10);
+        assert_eq!((s.start_cycle, s.end_cycle), (0, 100));
+        let timed = (1..=100).filter(|&c| is_timed_cycle(c)).count() as u64;
+        assert_eq!(s.timed_cycles, timed);
+        assert_eq!(
+            s.stage_nanos.iter().sum::<u64>(),
+            timed * HOST_STAGE_COUNT as u64 * STAGE_CLOCK_PERIOD,
+            "timed cycles × 6 ns, scaled"
+        );
+        assert_eq!(s.drained, 100);
+        assert_eq!(p.slices()[1].start_cycle, 100);
+        assert_eq!(p.cycles(), 450);
+        assert_eq!(p.timed_cycles(), (1..=450).filter(|&c| is_timed_cycle(c)).count() as u64);
     }
 
     #[test]
     fn reset_clears_data_but_keeps_configuration() {
         let mut p = HostProfiler::with_cap(7, 3);
         p.on_stage_nanos(&[1; HOST_STAGE_COUNT]);
-        p.on_event_drained(2);
+        p.on_event_drained(2, EventKind::LoadAddr);
         p.on_queue_health(&health(1, 1));
+        p.on_busy_clusters(1, 1);
         p.reset();
         assert_eq!(p.cycles(), 0);
+        assert_eq!(p.timed_cycles(), 0);
         assert_eq!(p.loop_nanos(), 0);
         assert_eq!(p.drained_total(), 0);
+        assert_eq!(p.drained_by_kind(), &[0; EVENT_KIND_COUNT]);
         assert_eq!(p.sample_interval, 7);
         assert_eq!(p.slice_cap, 3);
     }
@@ -597,13 +694,16 @@ mod tests {
     #[test]
     fn json_has_the_documented_sections() {
         let mut p = HostProfiler::new(10);
-        p.on_stage_nanos(&[5, 5, 5, 5, 5, 5]);
-        p.on_queue_health(&health(1, 0b11));
+        for c in 1..=STAGE_CLOCK_PERIOD {
+            cycle(&mut p, c, &[5; HOST_STAGE_COUNT], 0b11);
+        }
         let j = p.to_json();
         assert_eq!(
             j.keys().unwrap(),
             vec![
                 "cycles",
+                "timed_cycles",
+                "stage_clock_period",
                 "loop_nanos",
                 "stages",
                 "queue",
@@ -613,6 +713,7 @@ mod tests {
                 "dropped_slices"
             ]
         );
+        assert!(j.get("timed_cycles").and_then(Json::as_u64).unwrap() > 0);
         let stages = j.get("stages").unwrap();
         assert_eq!(
             stages.keys().unwrap(),
@@ -625,6 +726,17 @@ mod tests {
             })
             .sum();
         assert!((share - 1.0).abs() < 1e-9);
+        let skew = j.get("skew").unwrap();
+        assert_eq!(
+            skew.keys().unwrap(),
+            vec![
+                "drained_per_cluster",
+                "busy_cycles_per_cluster",
+                "busy_clusters",
+                "fully_quiescent_cycles",
+                "drained_skew"
+            ]
+        );
         let text = j.to_string_compact();
         let reparsed = clustered_stats::json::parse(&text).expect("valid JSON");
         assert_eq!(reparsed, j);

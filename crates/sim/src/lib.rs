@@ -45,10 +45,7 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: the one sanctioned exception is
-// `pipeline::pool`, whose raw-pointer domain partition carries its
-// safety argument inline and opts in with a scoped `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod audit;
 mod bankpred;
@@ -86,14 +83,14 @@ pub use config::{
     MAX_CLUSTERS,
 };
 pub use host::{
-    HostProfiler, HostSlice, HostStage, QueueHealth, DEFAULT_SAMPLE_INTERVAL, DEFAULT_SLICE_CAP,
-    HOST_STAGE_COUNT,
+    is_timed_cycle, HostProfiler, HostSlice, HostStage, QueueHealth, DEFAULT_SAMPLE_INTERVAL,
+    DEFAULT_SLICE_CAP, HOST_STAGE_COUNT, STAGE_CLOCK_PERIOD,
 };
 pub use interconnect::Interconnect;
 pub use lsq::LsqSlice;
 pub use observe::{
-    DecisionTrace, FlushEvent, IpcSample, MetricsObserver, NullObserver, ReconfigEvent,
-    SimObserver, TransferKind, DEFAULT_EVENT_CAP,
+    DecisionTrace, EventKind, FlushEvent, IpcSample, MetricsObserver, NullObserver,
+    ReconfigEvent, SimObserver, TransferKind, DEFAULT_EVENT_CAP, EVENT_KIND_COUNT,
 };
 pub use pipeline::{OccupancySnapshot, Processor, SimError};
 pub use reconfig::{

@@ -10,6 +10,9 @@
 //! methods monomorphize away — a processor without an observer
 //! compiles to the same code as one built before this trait existed.
 //!
+//! Observers compose: a pair `(A, B)` of observers is an observer, so
+//! profiling, auditing and decision tracing can share one run.
+//!
 //! [`MetricsObserver`] is the batteries-included implementation behind
 //! `clustered trace`: histograms of ROB occupancy and transfer hops, a
 //! per-interval IPC timeline, and the reconfiguration event log the
@@ -38,6 +41,54 @@ pub enum TransferKind {
     Cache,
 }
 
+/// The kind of a backend event drained from the calendar queues (the
+/// [`on_event_drained`](SimObserver::on_event_drained) attribution
+/// key).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// A result became available: consumers wake, fetch may redirect.
+    WriteBack,
+    /// A load's effective address left its AGU.
+    LoadAddr,
+    /// A store's effective address left its AGU.
+    StoreAddr,
+    /// A load arrived at its LSQ slice.
+    LoadAtLsq,
+    /// A store's address and data became visible at an LSQ slice.
+    StoreResolved,
+}
+
+/// Number of [`EventKind`] variants.
+pub const EVENT_KIND_COUNT: usize = 5;
+
+impl EventKind {
+    /// Every kind, in declaration order (the order of per-kind count
+    /// arrays).
+    pub const ALL: [EventKind; EVENT_KIND_COUNT] = [
+        EventKind::WriteBack,
+        EventKind::LoadAddr,
+        EventKind::StoreAddr,
+        EventKind::LoadAtLsq,
+        EventKind::StoreResolved,
+    ];
+
+    /// Stable lower-case name (JSON keys, report rows).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EventKind::WriteBack => "write_back",
+            EventKind::LoadAddr => "load_addr",
+            EventKind::StoreAddr => "store_addr",
+            EventKind::LoadAtLsq => "load_at_lsq",
+            EventKind::StoreResolved => "store_resolved",
+        }
+    }
+
+    /// Index into [`EventKind::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Hooks invoked by the [`Processor`](crate::Processor) as it
 /// simulates. Every method has an empty default body, so an
 /// implementation overrides only what it needs; with the default
@@ -58,18 +109,23 @@ pub trait SimObserver {
     /// preserving the bit-identical zero-cost property.
     const WANTS_DECISIONS: bool = false;
 
-    /// Whether the simulator should run the *host-profiled* cycle loop
-    /// for this observer.
+    /// Whether the simulator should run the host-profiling parts of
+    /// the cycle loop for this observer.
     ///
-    /// When `true` the pipeline reads a monotonic clock around each
-    /// stage and delivers [`on_stage_nanos`](SimObserver::on_stage_nanos),
-    /// [`on_queue_health`](SimObserver::on_queue_health) and
-    /// [`on_event_drained`](SimObserver::on_event_drained) every cycle.
-    /// The default `false` selects the unmodified loop, so profiling
-    /// costs nothing unless an observer (like
-    /// [`HostProfiler`](crate::HostProfiler)) opts in — and either way
-    /// simulated behaviour is untouched: the hooks only *read* machine
-    /// state.
+    /// When `true` the pipeline delivers
+    /// [`on_event_drained`](SimObserver::on_event_drained) for every
+    /// drained event and
+    /// [`on_busy_clusters`](SimObserver::on_busy_clusters) every cycle,
+    /// and on the sampled cycles chosen by
+    /// [`is_timed_cycle`](crate::is_timed_cycle) (about one in
+    /// [`STAGE_CLOCK_PERIOD`](crate::STAGE_CLOCK_PERIOD)) it reads a
+    /// monotonic clock around each stage and delivers
+    /// [`on_stage_nanos`](SimObserver::on_stage_nanos) and
+    /// [`on_queue_health`](SimObserver::on_queue_health). The default
+    /// `false` compiles all of that away, so profiling costs nothing
+    /// unless an observer (like [`HostProfiler`](crate::HostProfiler))
+    /// opts in — and either way simulated behaviour is untouched: the
+    /// hooks only *read* machine state.
     const WANTS_HOST_PROFILE: bool = false;
 
     /// Whether the simulator should assemble an end-of-cycle
@@ -145,9 +201,11 @@ pub trait SimObserver {
     }
 
     /// Wall-clock nanoseconds the host spent in each cycle-loop stage
-    /// this cycle, in [`HostStage::ALL`](crate::HostStage::ALL) order.
+    /// this cycle, in [`HostStage::ALL`](crate::HostStage::ALL) order,
+    /// net of the cost of the clock reads themselves.
     ///
-    /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`.
+    /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`, and
+    /// then only on timed cycles ([`is_timed_cycle`](crate::is_timed_cycle)).
     #[inline(always)]
     fn on_stage_nanos(&mut self, nanos: &[u64; crate::host::HOST_STAGE_COUNT]) {
         let _ = nanos;
@@ -155,18 +213,31 @@ pub trait SimObserver {
 
     /// End-of-cycle sample of calendar-queue and quiescence health.
     ///
-    /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`.
+    /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`, and
+    /// then only on timed cycles, right after
+    /// [`on_stage_nanos`](SimObserver::on_stage_nanos).
     #[inline(always)]
     fn on_queue_health(&mut self, sample: &crate::host::QueueHealth) {
         let _ = sample;
     }
 
-    /// One event was drained from calendar shard `shard`.
+    /// End of every cycle: bit `c` of `queued_mask` is set ⇔ cluster
+    /// `c` has queued instructions. Delivered after the timed-cycle
+    /// hooks, so it closes the cycle for the host profile.
     ///
     /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`.
     #[inline(always)]
-    fn on_event_drained(&mut self, shard: usize) {
-        let _ = shard;
+    fn on_busy_clusters(&mut self, cycle: u64, queued_mask: u32) {
+        let _ = (cycle, queued_mask);
+    }
+
+    /// One event of kind `kind` was drained from calendar shard
+    /// `shard`.
+    ///
+    /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`.
+    #[inline(always)]
+    fn on_event_drained(&mut self, shard: usize, kind: EventKind) {
+        let _ = (shard, kind);
     }
 
     /// End-of-cycle machine-state snapshot for conservation-law
@@ -184,6 +255,102 @@ pub trait SimObserver {
 pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
+
+/// Two observers attached as one: each `WANTS_*` flag is the OR of the
+/// members', and every hook is forwarded to `A`, then `B`. A member
+/// that did not ask for a hook family receives it anyway and ignores
+/// it through its empty default, so e.g. `(HostProfiler,
+/// AuditObserver)` profiles and audits one run. Nest pairs for more
+/// members.
+impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
+    const WANTS_DECISIONS: bool = A::WANTS_DECISIONS || B::WANTS_DECISIONS;
+    const WANTS_HOST_PROFILE: bool = A::WANTS_HOST_PROFILE || B::WANTS_HOST_PROFILE;
+    const WANTS_AUDIT: bool = A::WANTS_AUDIT || B::WANTS_AUDIT;
+
+    #[inline(always)]
+    fn on_cycle(&mut self, cycle: u64, active_clusters: usize, rob_occupancy: usize) {
+        self.0.on_cycle(cycle, active_clusters, rob_occupancy);
+        self.1.on_cycle(cycle, active_clusters, rob_occupancy);
+    }
+
+    #[inline(always)]
+    fn on_dispatch(&mut self, cycle: u64, seq: u64, cluster: usize) {
+        self.0.on_dispatch(cycle, seq, cluster);
+        self.1.on_dispatch(cycle, seq, cluster);
+    }
+
+    #[inline(always)]
+    fn on_issue(&mut self, cycle: u64, seq: u64, cluster: usize) {
+        self.0.on_issue(cycle, seq, cluster);
+        self.1.on_issue(cycle, seq, cluster);
+    }
+
+    #[inline(always)]
+    fn on_commit(&mut self, event: &CommitEvent) {
+        self.0.on_commit(event);
+        self.1.on_commit(event);
+    }
+
+    #[inline(always)]
+    fn on_transfer(&mut self, cycle: u64, kind: TransferKind, from: usize, to: usize, hops: u64) {
+        self.0.on_transfer(cycle, kind, from, to, hops);
+        self.1.on_transfer(cycle, kind, from, to, hops);
+    }
+
+    #[inline(always)]
+    fn on_cache_access(&mut self, cycle: u64, bank: usize, write: bool, ready_at: u64) {
+        self.0.on_cache_access(cycle, bank, write, ready_at);
+        self.1.on_cache_access(cycle, bank, write, ready_at);
+    }
+
+    #[inline(always)]
+    fn on_reconfig(&mut self, cycle: u64, from: usize, to: usize) {
+        self.0.on_reconfig(cycle, from, to);
+        self.1.on_reconfig(cycle, from, to);
+    }
+
+    #[inline(always)]
+    fn on_flush_stall(&mut self, cycle: u64, stall_cycles: u64, writebacks: u64) {
+        self.0.on_flush_stall(cycle, stall_cycles, writebacks);
+        self.1.on_flush_stall(cycle, stall_cycles, writebacks);
+    }
+
+    #[inline(always)]
+    fn on_decision(&mut self, decision: &DecisionRecord) {
+        self.0.on_decision(decision);
+        self.1.on_decision(decision);
+    }
+
+    #[inline(always)]
+    fn on_stage_nanos(&mut self, nanos: &[u64; crate::host::HOST_STAGE_COUNT]) {
+        self.0.on_stage_nanos(nanos);
+        self.1.on_stage_nanos(nanos);
+    }
+
+    #[inline(always)]
+    fn on_queue_health(&mut self, sample: &crate::host::QueueHealth) {
+        self.0.on_queue_health(sample);
+        self.1.on_queue_health(sample);
+    }
+
+    #[inline(always)]
+    fn on_busy_clusters(&mut self, cycle: u64, queued_mask: u32) {
+        self.0.on_busy_clusters(cycle, queued_mask);
+        self.1.on_busy_clusters(cycle, queued_mask);
+    }
+
+    #[inline(always)]
+    fn on_event_drained(&mut self, shard: usize, kind: EventKind) {
+        self.0.on_event_drained(shard, kind);
+        self.1.on_event_drained(shard, kind);
+    }
+
+    #[inline(always)]
+    fn on_audit(&mut self, check: &crate::audit::AuditCheck<'_>) {
+        self.0.on_audit(check);
+        self.1.on_audit(check);
+    }
+}
 
 /// One recorded active-cluster change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

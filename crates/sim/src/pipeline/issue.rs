@@ -8,22 +8,14 @@
 //! ticks: the computed schedule is bit-identical, the cost is
 //! proportional to busy clusters only.
 //!
-//! The stage factors into a *select* half (the cluster's scheduler
-//! picks this cycle's issue set into its own domain's scratch) and an
-//! *apply* half (ROB updates, stats, event scheduling — shared
-//! state). Select reads and writes only the owning [`ClusterDomain`],
-//! and apply on cluster `c` never touches another cluster's scheduler
-//! — an issued instruction wakes consumers via *events*, never by a
-//! same-cycle direct enqueue — so running every select before every
-//! apply ([`Processor::issue_split`], the `--intra-jobs` path, with
-//! the selects optionally fanned over the pool) computes exactly the
-//! schedule of the interleaved sequential loop ([`Processor::issue`]).
-//!
-//! [`ClusterDomain`]: super::domain::ClusterDomain
+//! Each busy cluster runs a *select* half (its scheduler picks this
+//! cycle's issue set into its own domain's scratch) and then an
+//! *apply* half (ROB updates, stats, event scheduling — shared state).
+//! An issued instruction wakes consumers via *events*, never by a
+//! same-cycle direct enqueue, so apply on cluster `c` never touches
+//! another cluster's scheduler.
 
-use super::events::EventKind;
-use super::pool::IntraPool;
-use super::FANOUT_MIN;
+use super::events::Event;
 use crate::cluster::{latency_of, Domain};
 use crate::observe::SimObserver;
 use crate::reconfig::DISTANT_DEPTH;
@@ -33,8 +25,8 @@ use clustered_isa::OpClass;
 use super::Processor;
 
 impl<T: TraceSource, O: SimObserver> Processor<T, O> {
-    /// The sequential oracle: per busy cluster, select then apply,
-    /// interleaved in ascending cluster order.
+    /// Per busy cluster, in ascending cluster order: select, then
+    /// apply.
     pub(super) fn issue(&mut self) {
         let busy = self.queued_mask.count_ones() as usize;
         self.stats.quiescent_cluster_cycles += (self.domains.len() - busy) as u64;
@@ -47,35 +39,8 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         }
     }
 
-    /// The phase-split form used with `--intra-jobs`: every busy
-    /// cluster selects first (fanned over `pool` when wide enough),
-    /// then applies in ascending order — the same schedule as
-    /// [`issue`](Self::issue), per the module-level argument.
-    pub(super) fn issue_split(&mut self, pool: Option<&IntraPool>) {
-        let mask = self.queued_mask;
-        let busy = mask.count_ones() as usize;
-        self.stats.quiescent_cluster_cycles += (self.domains.len() - busy) as u64;
-        match pool {
-            Some(pool) if busy >= FANOUT_MIN => pool.select(&mut self.domains, mask, self.now),
-            _ => {
-                let mut m = mask;
-                while m != 0 {
-                    let c = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.select_cluster(c);
-                }
-            }
-        }
-        let mut m = mask;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.apply_cluster(c);
-        }
-    }
-
     /// The select half: the cluster's scheduler fills its domain's
-    /// `selected` scratch. Touches only that domain (pool-safe).
+    /// `selected` scratch. Touches only that domain.
     fn select_cluster(&mut self, c: usize) {
         let d = &mut self.domains[c];
         d.selected.clear();
@@ -84,7 +49,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
 
     /// The apply half: commits cluster `c`'s selections to shared
     /// state — FU occupancy, ROB flags, criticality training, stats,
-    /// and the writeback/AGU events. Main-thread only.
+    /// and the writeback/AGU events.
     fn apply_cluster(&mut self, c: usize) {
         let head_seq = self.rob.front().map(|e| e.d.seq);
         self.stats.cluster_busy_cycles[c] += 1;
@@ -112,10 +77,10 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             }
             match class {
                 OpClass::Load => self
-                    .schedule(c, self.now + self.cfg.exec.int_alu, EventKind::LoadAddr { seq }),
+                    .schedule(c, self.now + self.cfg.exec.int_alu, Event::LoadAddr { seq }),
                 OpClass::Store => self
-                    .schedule(c, self.now + self.cfg.exec.int_alu, EventKind::StoreAddr { seq }),
-                _ => self.schedule(c, self.now + lat, EventKind::WriteBack { seq }),
+                    .schedule(c, self.now + self.cfg.exec.int_alu, Event::StoreAddr { seq }),
+                _ => self.schedule(c, self.now + lat, Event::WriteBack { seq }),
             }
         }
         self.domains[c].selected = selected;

@@ -1,9 +1,11 @@
 //! End-to-end checks of the host-profiled cycle loop: profiling must
-//! never change simulated behaviour, and the profile it produces must
-//! be internally consistent with the run it measured.
+//! never change simulated behaviour, the profile it produces must be
+//! internally consistent with the run it measured, and the sampled
+//! stage clock must time a deterministic set of cycles.
 
 use clustered_sim::{
-    FixedPolicy, HostProfiler, HostStage, Processor, SimConfig, SimStats, SteeringKind,
+    is_timed_cycle, FixedPolicy, HostProfiler, HostStage, Processor, QueueHealth, SimConfig,
+    SimObserver, SimStats, SteeringKind, STAGE_CLOCK_PERIOD,
 };
 use clustered_workloads::by_name;
 
@@ -43,12 +45,23 @@ fn profiled_and_plain_runs_have_identical_stats() {
 fn profile_is_consistent_with_the_run() {
     let (stats, p) = run_profiled(30_000, 1_000);
 
-    // Stage attribution: one sample per simulated cycle, and the stage
-    // shares partition the measured loop time.
-    assert_eq!(p.cycles(), stats.cycles, "one stage sample per cycle");
+    // Stage attribution: every cycle is counted, about one in
+    // STAGE_CLOCK_PERIOD is timed, and the stage shares partition the
+    // estimated loop time.
+    assert_eq!(p.cycles(), stats.cycles, "every simulated cycle is counted");
+    let expected = stats.cycles as f64 / STAGE_CLOCK_PERIOD as f64;
+    let timed = p.timed_cycles() as f64;
+    assert!(
+        (timed - expected).abs() <= 0.25 * expected,
+        "{timed} timed cycles, expected about {expected}"
+    );
     assert!(p.loop_nanos() > 0, "a real run takes real time");
     let share_sum: f64 = HostStage::ALL.iter().map(|&s| p.stage_share(s)).sum();
     assert!((share_sum - 1.0).abs() < 1e-9, "stage shares sum to 1, got {share_sum}");
+
+    // Per-kind attribution is complete too, and a gzip run writes back.
+    assert_eq!(p.drained_by_kind().iter().sum::<u64>(), p.drained_total());
+    assert!(p.drained_by_kind()[0] > 0, "write-backs drain");
 
     // Load skew: FixedPolicy(8) keeps 8 clusters active, so events
     // drain from more than one shard and the skew summary is defined.
@@ -78,7 +91,8 @@ fn profile_is_consistent_with_the_run() {
     );
 
     // Timeline: slices cover the run in order, with no drops at this
-    // cap, and their stage nanos re-sum to (at most) the totals.
+    // cap, and their stage nanos and timed cycles re-sum to (at most)
+    // the totals.
     assert!(!p.slices().is_empty());
     assert_eq!(p.dropped_slices(), 0);
     let mut prev_end = 0;
@@ -89,6 +103,76 @@ fn profile_is_consistent_with_the_run() {
     }
     let sliced: u64 = p.slices().iter().map(|s| s.stage_nanos.iter().sum::<u64>()).sum();
     assert!(sliced <= p.loop_nanos(), "slices never claim more time than measured");
+    let sliced_timed: u64 = p.slices().iter().map(|s| s.timed_cycles).sum();
+    assert!(sliced_timed <= p.timed_cycles());
+}
+
+/// Two identical runs time the same cycles: the same count and the
+/// same per-slice sample, at the same slice boundaries.
+#[test]
+fn identical_runs_time_identical_cycles() {
+    let (_, a) = run_profiled(30_000, 1_000);
+    let (_, b) = run_profiled(30_000, 1_000);
+    assert!(a.timed_cycles() > 0);
+    assert_eq!(a.timed_cycles(), b.timed_cycles());
+    let slices = |p: &HostProfiler| -> Vec<(u64, u64, u64)> {
+        p.slices().iter().map(|s| (s.start_cycle, s.end_cycle, s.timed_cycles)).collect()
+    };
+    assert_eq!(slices(&a), slices(&b));
+}
+
+/// Records the cycles whose stages were timed (the queue-health sample
+/// arrives on exactly those).
+#[derive(Debug, Clone, Default)]
+struct TimedCycles(Vec<u64>);
+
+impl SimObserver for TimedCycles {
+    const WANTS_HOST_PROFILE: bool = true;
+
+    fn on_queue_health(&mut self, sample: &QueueHealth) {
+        self.0.push(sample.cycle);
+    }
+}
+
+/// Runs gzip for a 5K-instruction warm-up and a 10K measured window,
+/// resetting the profiler in between when `reset` is set. Returns the
+/// cycle the window started at, the profiler and the timed cycles.
+fn warm_then_measure(reset: bool) -> (u64, HostProfiler, Vec<u64>) {
+    let w = by_name("gzip").expect("gzip workload exists");
+    let stream = w.trace().map(Result::unwrap);
+    let mut cpu = Processor::with_observer(
+        SimConfig::default(),
+        stream,
+        Box::new(FixedPolicy::new(8)),
+        SteeringKind::default(),
+        (HostProfiler::new(500), TimedCycles::default()),
+    )
+    .expect("valid config");
+    cpu.run(5_000).expect("no stall");
+    let warm = cpu.cycle();
+    if reset {
+        cpu.observer_mut().0.reset();
+    }
+    cpu.run(10_000).expect("no stall");
+    let (profiler, timed) = cpu.observer().clone();
+    (warm, profiler, timed.0)
+}
+
+/// Which cycles are timed depends on the cycle number alone: a warm-up
+/// `reset()` neither moves the later timed cycles nor changes how many
+/// the profile counts, and the cycle loop times exactly the cycles
+/// `is_timed_cycle` names.
+#[test]
+fn reset_after_warmup_keeps_the_timed_cycles() {
+    let (warm, kept, all) = warm_then_measure(false);
+    let (warm_reset, fresh, all_reset) = warm_then_measure(true);
+    assert_eq!(warm, warm_reset);
+    assert_eq!(all, all_reset, "reset moved the timed cycles");
+    assert_eq!(all, (1..=kept.cycles()).filter(|&c| is_timed_cycle(c)).collect::<Vec<_>>());
+    let after_warmup = all.iter().filter(|&&c| c > warm).count() as u64;
+    assert_eq!(fresh.timed_cycles(), after_warmup, "the reset profile times the window only");
+    assert_eq!(kept.timed_cycles(), all.len() as u64);
+    assert_eq!(fresh.cycles(), kept.cycles() - warm);
 }
 
 #[test]

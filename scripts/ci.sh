@@ -20,12 +20,7 @@ echo "==> schedule oracles under debug assertions"
 # than silently shipping. Explicit even though the workspace test run
 # above also covers them — this gate must survive that step ever
 # moving to --release.
-#
-# parallel_equivalence re-runs the 360-point matrix at 1/2/4 intra-run
-# threads: the pool's raw-pointer domain partition and the batched
-# event-drain invariants are exactly the kind of code whose bugs only
-# debug_assert! catches.
-cargo test --quiet --test shard_equivalence --test compiled_replay --test parallel_equivalence
+cargo test --quiet --test shard_equivalence --test compiled_replay
 
 echo "==> flat-scheduler property suite (slow-tests feature)"
 # Model-based equivalence of Cluster::select against the reference
@@ -74,6 +69,22 @@ test -s "$CACHE_TMP/host_trace.json"
 ./target/release/clustered perf --workload gzip --warmup 2000 \
     --instructions 25000 --json > "$CACHE_TMP/perf.json"
 grep -q '"sim_cycles_per_sec"' "$CACHE_TMP/perf.json"
+
+echo "==> perf --json smoke (sampled stage clock)"
+# The stage clock times a deterministic one cycle in 64: a short window
+# must still report a non-empty timed sample, and the per-thread keys
+# of the deleted intra-run pool must stay gone.
+./target/release/clustered perf --workload gzip --warmup 1000 \
+    --instructions 5000 --json > "$CACHE_TMP/perf_short.json"
+timed=$(sed -n 's/^ *"timed_cycles": \([0-9][0-9]*\),*$/\1/p' "$CACHE_TMP/perf_short.json" | head -n 1)
+if [ -z "$timed" ] || [ "$timed" -eq 0 ]; then
+    echo "perf --json must report timed_cycles > 0, got '${timed}'" >&2
+    exit 1
+fi
+if grep -q '"intra_threads"' "$CACHE_TMP/perf_short.json"; then
+    echo "perf --json still emits the removed intra_threads key" >&2
+    exit 1
+fi
 
 echo "==> conservation-law audit (strict, grid subset)"
 # The full 360-point grid runs under `cargo test --test audit_grid`

@@ -23,7 +23,7 @@ use clustered::policies::{
 };
 use clustered::sim::{
     estimate_energy, AuditObserver, CacheModel, DecisionReason, DecisionRecord, DecisionTrace,
-    EnergyParams, FixedPolicy, HostProfiler, HostStage, MetricsObserver, PolicyState, Processor,
+    EnergyParams, EventKind, FixedPolicy, HostProfiler, HostStage, MetricsObserver, PolicyState, Processor,
     ReconfigPolicy, SimConfig, SimStats, SteeringKind, Topology, DEFAULT_EVENT_CAP,
     DEFAULT_SAMPLE_INTERVAL,
 };
@@ -92,8 +92,6 @@ USAGE:
                 [--policy fixed|explore|distant|branch|subroutine]
                 [--clusters N] [--instructions N] [--warmup N]
                 [--decentralized] [--grid] [--monolithic] [--energy]
-                [--intra-jobs N]  drain shards / issue across N threads within
-                                  the run (0 = sequential oracle; bit-identical)
                 [--csv FILE]      write a per-interval timeline CSV
                 [--json]          print statistics as a JSON document
                                   ({schema_version, provenance, data})
@@ -130,15 +128,17 @@ USAGE:
   clustered perf [--workload NAME | --program FILE.s]
                 [--policy ...] [--clusters N] [--instructions N] [--warmup N]
                 [--decentralized] [--grid] [--monolithic]
-                [--intra-jobs N]  intra-run worker threads (0 = sequential)
                 [--sample-interval N]
-                                host-profile slice length in cycles (default 10000)
+                                width in cycles of the host-profile timeline
+                                slices (default 10000); unrelated to the stage
+                                clock, which times a fixed one cycle in 64
                 [--out FILE.json] write a host-side Chrome trace (stage spans
                                 and queue-depth counter tracks)
                 [--json]          print the host_profile JSON document
                                 profile the simulator itself: where host
                                 wall-clock goes per pipeline stage, calendar
-                                queue health, and per-cluster load skew
+                                queue health, drained events per kind, and
+                                per-cluster load skew
   clustered diff A.json B.json  compare two result artifacts, aligned by
                 [--threshold X]   their provenance blocks; relative deltas
                 [--json]          up to X count as noise (default 0) and
@@ -236,9 +236,6 @@ fn build_config(flags: &Flags) -> Result<SimConfig, String> {
     if flags.has("grid") {
         cfg.interconnect.topology = Topology::Grid;
     }
-    // Host-execution knob: the schedule is bit-identical at any value
-    // (0 = the sequential oracle loop).
-    cfg.intra_jobs = flags.get_u64("intra-jobs", 0)? as usize;
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
@@ -283,7 +280,6 @@ const RUN_FLAGS: &[&str] = &[
     "decentralized",
     "grid",
     "monolithic",
-    "intra-jobs",
     "energy",
     "csv",
     "json",
@@ -897,7 +893,6 @@ const PERF_FLAGS: &[&str] = &[
     "decentralized",
     "grid",
     "monolithic",
-    "intra-jobs",
     "sample-interval",
     "out",
     "json",
@@ -978,18 +973,19 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         "sim cycles/sec      {:.0}",
         if wall_seconds > 0.0 { p.cycles() as f64 / wall_seconds } else { 0.0 }
     );
-    println!("host loop time      {:.3} s, by stage:", p.loop_nanos() as f64 / 1e9);
+    println!(
+        "host loop time      {:.3} s (from {} timed cycles), by stage:",
+        p.loop_nanos() as f64 / 1e9,
+        p.timed_cycles()
+    );
     for stage in HostStage::ALL {
         println!("  {:<17} {:>5.1}%", stage.as_str(), 100.0 * p.stage_share(stage));
     }
-    println!("drained events      {} (max/mean shard skew {:.2})", p.drained_total(), p.drained_skew());
-    if p.intra_threads() > 0 {
-        println!("intra-run threads   {}", p.intra_threads());
-        let fmt = |v: Vec<u64>| {
-            v.iter().map(ToString::to_string).collect::<Vec<_>>().join(" ")
-        };
-        println!("  drained/thread    {}", fmt(p.drained_per_thread()));
-        println!("  busy cyc/thread   {}", fmt(p.busy_cycles_per_thread()));
+    println!("drained events      {} (max/mean shard skew {:.2}), by kind:", p.drained_total(), p.drained_skew());
+    for kind in EventKind::ALL {
+        let n = p.drained_by_kind()[kind.index()];
+        let share = if p.drained_total() > 0 { n as f64 / p.drained_total() as f64 } else { 0.0 };
+        println!("  {:<17} {:>5.1}%  {n}", kind.as_str(), 100.0 * share);
     }
     println!("fully quiescent     {} of {} cycles", p.fully_quiescent_cycles(), p.cycles());
     println!("profile slices      {} ({} dropped)", p.slices().len(), p.dropped_slices());
