@@ -10,8 +10,8 @@
 //! hottest per-cycle path. It is now flat and allocation-free in
 //! steady state:
 //!
-//! - **Pending ring** — a small per-cluster calendar (the event-shard
-//!   trick from `pipeline/events.rs`, scoped to operand ready times):
+//! - **Pending ring** — a small per-cluster calendar (the event
+//!   calendar's trick from `pipeline/events.rs`, scoped to operand ready times):
 //!   [`RING_WINDOW`] buckets indexed by `ready_at % RING_WINDOW`, an
 //!   occupancy bitmap to skip empty buckets, and entries packed as
 //!   `(seq << 2) | group`. Enqueue is a `Vec` push; wakeup drains the

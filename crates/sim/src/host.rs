@@ -5,12 +5,14 @@
 //! `SimStats`) describes the simulated machine; this module describes
 //! the simulator itself. A [`HostProfiler`] attaches through the same
 //! observer seam. The cycle loop then counts every drained event (by
-//! shard and by [`EventKind`]) and every cycle's busy clusters exactly,
-//! and on a deterministic sample of cycles — one in
+//! destination cluster and by [`EventKind`]) and every cycle's busy
+//! clusters exactly, and on a deterministic sample of cycles — one in
 //! [`STAGE_CLOCK_PERIOD`], chosen by [`is_timed_cycle`] — attributes
 //! its monotonic wall-clock to per-stage buckets
 //! (fetch/dispatch/issue/commit/event-drain) and samples calendar-queue
-//! health. Stage times are scaled up from the timed cycles.
+//! health; on a second, disjoint sample of the same rate it attributes
+//! the event drain's wall-clock to each [`EventKind`]. Stage and kind
+//! times are scaled up from their samples.
 //!
 //! The gate is compile-time, in the `WANTS_DECISIONS` style: the
 //! processor consults
@@ -28,8 +30,8 @@
 //! shares while leaving the profiler cheap enough to stay on.
 //!
 //! Why these measurements: stage shares say which layer an
-//! optimisation must move, per-[`EventKind`] drain counts say what the
-//! largest stage (event drain) is spending its time on, and
+//! optimisation must move, per-[`EventKind`] drain counts and times say
+//! what the largest stage (event drain) is spending its time on, and
 //! sim-cycles/sec per configuration is the throughput figure every
 //! speed claim is stated in — host properties no `SimStats` counter
 //! can see.
@@ -65,11 +67,28 @@ const _: () = assert!(STAGE_CLOCK_PERIOD.is_power_of_two());
 /// `cycles / STAGE_CLOCK_PERIOD`.
 #[inline]
 pub fn is_timed_cycle(cycle: u64) -> bool {
-    let mut z = (cycle / STAGE_CLOCK_PERIOD).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    cycle % STAGE_CLOCK_PERIOD == timed_offset(cycle / STAGE_CLOCK_PERIOD)
+}
+
+/// Whether the cycle loop times the event drain per [`EventKind`] on
+/// simulated cycle `cycle`: one cycle per block, half a block away from
+/// the [`is_timed_cycle`] one. The per-event clock reads cost more
+/// than the read they are netted of, so keeping the two samples
+/// disjoint leaves the stage shares untouched.
+#[inline]
+pub(crate) fn is_drain_timed_cycle(cycle: u64) -> bool {
+    let offset = timed_offset(cycle / STAGE_CLOCK_PERIOD) + STAGE_CLOCK_PERIOD / 2;
+    cycle % STAGE_CLOCK_PERIOD == offset % STAGE_CLOCK_PERIOD
+}
+
+/// The stage-timed cycle's offset within block `block`.
+#[inline]
+fn timed_offset(block: u64) -> u64 {
+    let mut z = block.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    cycle % STAGE_CLOCK_PERIOD == z % STAGE_CLOCK_PERIOD
+    z % STAGE_CLOCK_PERIOD
 }
 
 /// What one stage interval costs when it times nothing: the median of
@@ -217,6 +236,7 @@ pub struct HostProfiler {
     fully_quiescent_cycles: u64,
     drained_events: [u64; MAX_CLUSTERS],
     drained_by_kind: [u64; EVENT_KIND_COUNT],
+    drain_nanos_by_kind: [u64; EVENT_KIND_COUNT],
     drained_total: u64,
     /// End-of-cycle busy masks tallied per byte: `busy_by_byte[h][b]`
     /// counts the cycles whose mask byte `h` was `b`. Two increments a
@@ -272,6 +292,7 @@ impl HostProfiler {
             fully_quiescent_cycles: 0,
             drained_events: [0; MAX_CLUSTERS],
             drained_by_kind: [0; EVENT_KIND_COUNT],
+            drain_nanos_by_kind: [0; EVENT_KIND_COUNT],
             drained_total: 0,
             busy_by_byte: [[0; 256]; BUSY_MASK_BYTES],
             last_depths: (0, 0),
@@ -328,7 +349,8 @@ impl HostProfiler {
         }
     }
 
-    /// Events drained per cluster shard (load-skew raw data).
+    /// Events drained per destination cluster — the cluster or LSQ
+    /// slice each event was scheduled for (load-skew raw data).
     pub fn drained_events(&self) -> &[u64; MAX_CLUSTERS] {
         &self.drained_events
     }
@@ -336,6 +358,23 @@ impl HostProfiler {
     /// Events drained per kind, in [`EventKind::ALL`] order.
     pub fn drained_by_kind(&self) -> &[u64; EVENT_KIND_COUNT] {
         &self.drained_by_kind
+    }
+
+    /// Estimated wall-clock nanoseconds the event drain spent per kind,
+    /// in [`EventKind::ALL`] order: the drain-timed cycles' nanoseconds
+    /// (one cycle per block, disjoint from the stage-timed ones) times
+    /// [`STAGE_CLOCK_PERIOD`], like [`HostProfiler::stage_nanos`].
+    pub fn drain_nanos_by_kind(&self) -> &[u64; EVENT_KIND_COUNT] {
+        &self.drain_nanos_by_kind
+    }
+
+    /// Estimated nanoseconds per drained event of `kind` (0.0 when none
+    /// drained).
+    pub fn drain_ns_per_event(&self, kind: EventKind) -> f64 {
+        match self.drained_by_kind[kind.index()] {
+            0 => 0.0,
+            n => self.drain_nanos_by_kind[kind.index()] as f64 / n as f64,
+        }
     }
 
     /// Total events drained.
@@ -373,9 +412,9 @@ impl HostProfiler {
         self.dropped_slices
     }
 
-    /// Load skew across clusters that drained at least one event:
-    /// max/mean of per-cluster drained events (1.0 = perfectly even,
-    /// 0.0 when nothing drained).
+    /// Load skew across the destination clusters that drained at least
+    /// one event: max/mean of per-cluster drained events (1.0 =
+    /// perfectly even, 0.0 when nothing drained).
     pub fn drained_skew(&self) -> f64 {
         let active: Vec<u64> =
             self.drained_events.iter().copied().filter(|&n| n > 0).collect();
@@ -400,8 +439,11 @@ impl HostProfiler {
             );
         }
         let mut by_kind = Json::object();
+        let mut nanos_by_kind = Json::object();
         for kind in EventKind::ALL {
             by_kind = by_kind.set(kind.as_str(), self.drained_by_kind[kind.index()]);
+            nanos_by_kind =
+                nanos_by_kind.set(kind.as_str(), self.drain_nanos_by_kind[kind.index()]);
         }
         let drained: Vec<Json> =
             self.drained_events.iter().map(|&n| Json::from(n)).collect();
@@ -421,7 +463,8 @@ impl HostProfiler {
                     .set("overflow_depth", self.overflow_depth.to_json())
                     .set("floor_advance", self.floor_advance.to_json())
                     .set("drained_events", self.drained_total)
-                    .set("drained_by_kind", by_kind),
+                    .set("drained_by_kind", by_kind)
+                    .set("drain_nanos_by_kind", nanos_by_kind),
             )
             .set(
                 "skew",
@@ -497,6 +540,12 @@ impl crate::observe::SimObserver for HostProfiler {
         }
     }
 
+    fn on_drain_nanos(&mut self, nanos: &[u64; EVENT_KIND_COUNT]) {
+        for (bucket, n) in self.drain_nanos_by_kind.iter_mut().zip(nanos) {
+            *bucket += n * STAGE_CLOCK_PERIOD;
+        }
+    }
+
     fn on_queue_health(&mut self, sample: &QueueHealth) {
         self.ring_occupancy.record(sample.calendar_events as u64);
         self.overflow_depth.record(sample.overflow_events as u64);
@@ -522,11 +571,11 @@ impl crate::observe::SimObserver for HostProfiler {
         }
     }
 
-    fn on_event_drained(&mut self, shard: usize, kind: EventKind) {
+    fn on_event_drained(&mut self, cluster: usize, kind: EventKind) {
         self.drained_total += 1;
         self.drained_by_kind[kind.index()] += 1;
-        if shard < MAX_CLUSTERS {
-            self.drained_events[shard] += 1;
+        if cluster < MAX_CLUSTERS {
+            self.drained_events[cluster] += 1;
         }
     }
 }
@@ -572,6 +621,16 @@ mod tests {
             .map(|c| c % STAGE_CLOCK_PERIOD)
             .collect();
         assert!(offsets.len() > STAGE_CLOCK_PERIOD as usize / 2, "{} offsets", offsets.len());
+    }
+
+    #[test]
+    fn one_drain_timed_cycle_per_block_apart_from_the_stage_sample() {
+        for block in 0..1_000u64 {
+            let cycles = block * STAGE_CLOCK_PERIOD..(block + 1) * STAGE_CLOCK_PERIOD;
+            let drain: Vec<u64> = cycles.filter(|&c| is_drain_timed_cycle(c)).collect();
+            assert_eq!(drain.len(), 1, "block {block}");
+            assert!(!is_timed_cycle(drain[0]), "block {block}: the samples overlap");
+        }
     }
 
     #[test]
@@ -646,6 +705,27 @@ mod tests {
         );
         assert_eq!(by_kind.get("store_resolved"), Some(&Json::from(3u64)));
         assert_eq!(by_kind.get("store_addr"), Some(&Json::from(0u64)));
+    }
+
+    #[test]
+    fn drain_nanos_scale_per_kind_and_divide_by_the_exact_counts() {
+        let mut p = HostProfiler::default();
+        p.on_drain_nanos(&[100, 0, 2_000, 0, 40]);
+        p.on_drain_nanos(&[50, 0, 0, 0, 20]);
+        assert_eq!(p.drain_nanos_by_kind(), &[150 * 64, 0, 2_000 * 64, 0, 60 * 64]);
+        for _ in 0..3 {
+            p.on_event_drained(0, EventKind::WriteBack);
+        }
+        p.on_event_drained(1, EventKind::StoreAddr);
+        assert_eq!(p.drain_ns_per_event(EventKind::WriteBack), 150.0 * 64.0 / 3.0);
+        assert_eq!(p.drain_ns_per_event(EventKind::StoreAddr), 2_000.0 * 64.0);
+        assert_eq!(p.drain_ns_per_event(EventKind::LoadAddr), 0.0, "none drained");
+        let j = p.to_json();
+        let nanos = j.get("queue").and_then(|q| q.get("drain_nanos_by_kind")).expect("per-kind");
+        assert_eq!(nanos.keys().unwrap(), EventKind::ALL.map(EventKind::as_str).to_vec());
+        assert_eq!(nanos.get("store_addr"), Some(&Json::from(2_000 * 64u64)));
+        p.reset();
+        assert_eq!(p.drain_nanos_by_kind(), &[0; EVENT_KIND_COUNT]);
     }
 
     #[test]

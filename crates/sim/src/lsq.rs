@@ -103,15 +103,17 @@ impl LsqSlice {
         self.parked_loads.insert(pos, seq);
     }
 
-    /// Marks store `seq` resolved here; returns the parked loads that
-    /// may now proceed, oldest first.
-    pub fn resolve_store(&mut self, seq: u64) -> Vec<u64> {
+    /// Marks store `seq` resolved here and appends the parked loads
+    /// that may now proceed to `freed`, oldest first. The caller owns
+    /// `freed`, so the hot path reuses one buffer instead of
+    /// allocating per freeing store.
+    pub fn resolve_store(&mut self, seq: u64, freed: &mut Vec<u64>) {
         if let Ok(i) = self.unresolved_stores.binary_search(&seq) {
             self.unresolved_stores.remove(i);
         }
         let horizon = self.unresolved_stores.first().copied().unwrap_or(u64::MAX);
         let n = self.parked_loads.partition_point(|&s| s < horizon);
-        self.parked_loads.drain(..n).collect()
+        freed.extend(self.parked_loads.drain(..n));
     }
 
     /// Records a resolved store's word for forwarding, with the time
@@ -187,7 +189,7 @@ mod tests {
         s.add_unresolved_store(10);
         assert!(!s.blocked(5), "load older than the store is not blocked");
         assert!(s.blocked(11), "load younger than an unresolved store is blocked");
-        s.resolve_store(10);
+        s.resolve_store(10, &mut Vec::new());
         assert!(!s.blocked(11));
     }
 
@@ -198,9 +200,11 @@ mod tests {
         s.add_unresolved_store(20);
         s.park(12);
         s.park(25);
-        let freed = s.resolve_store(10);
+        let mut freed = Vec::new();
+        s.resolve_store(10, &mut freed);
         assert_eq!(freed, vec![12], "25 still blocked by store 20");
-        let freed = s.resolve_store(20);
+        freed.clear();
+        s.resolve_store(20, &mut freed);
         assert_eq!(freed, vec![25]);
     }
 

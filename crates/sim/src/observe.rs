@@ -121,7 +121,10 @@ pub trait SimObserver {
     /// [`STAGE_CLOCK_PERIOD`](crate::STAGE_CLOCK_PERIOD)) it reads a
     /// monotonic clock around each stage and delivers
     /// [`on_stage_nanos`](SimObserver::on_stage_nanos) and
-    /// [`on_queue_health`](SimObserver::on_queue_health). The default
+    /// [`on_queue_health`](SimObserver::on_queue_health); on a disjoint
+    /// sample of the same rate it reads the clock around each drained
+    /// event and delivers
+    /// [`on_drain_nanos`](SimObserver::on_drain_nanos). The default
     /// `false` compiles all of that away, so profiling costs nothing
     /// unless an observer (like [`HostProfiler`](crate::HostProfiler))
     /// opts in — and either way simulated behaviour is untouched: the
@@ -211,6 +214,21 @@ pub trait SimObserver {
         let _ = nanos;
     }
 
+    /// Wall-clock nanoseconds the event drain spent on each
+    /// [`EventKind`] this cycle, in [`EventKind::ALL`] order: each
+    /// drained event's pop and handler, net of the clock read that
+    /// timed it.
+    ///
+    /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`, and
+    /// then only on drain-timed cycles: one per block of
+    /// [`STAGE_CLOCK_PERIOD`](crate::STAGE_CLOCK_PERIOD) cycles,
+    /// never a cycle whose stages are timed, because the per-event
+    /// clock reads would inflate the event-drain stage time.
+    #[inline(always)]
+    fn on_drain_nanos(&mut self, nanos: &[u64; EVENT_KIND_COUNT]) {
+        let _ = nanos;
+    }
+
     /// End-of-cycle sample of calendar-queue and quiescence health.
     ///
     /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`, and
@@ -231,13 +249,14 @@ pub trait SimObserver {
         let _ = (cycle, queued_mask);
     }
 
-    /// One event of kind `kind` was drained from calendar shard
-    /// `shard`.
+    /// One event of kind `kind` was drained; `cluster` is its
+    /// destination label — the cluster or LSQ slice it was scheduled
+    /// for.
     ///
     /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`.
     #[inline(always)]
-    fn on_event_drained(&mut self, shard: usize, kind: EventKind) {
-        let _ = (shard, kind);
+    fn on_event_drained(&mut self, cluster: usize, kind: EventKind) {
+        let _ = (cluster, kind);
     }
 
     /// End-of-cycle machine-state snapshot for conservation-law
@@ -328,6 +347,12 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     }
 
     #[inline(always)]
+    fn on_drain_nanos(&mut self, nanos: &[u64; EVENT_KIND_COUNT]) {
+        self.0.on_drain_nanos(nanos);
+        self.1.on_drain_nanos(nanos);
+    }
+
+    #[inline(always)]
     fn on_queue_health(&mut self, sample: &crate::host::QueueHealth) {
         self.0.on_queue_health(sample);
         self.1.on_queue_health(sample);
@@ -340,9 +365,9 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     }
 
     #[inline(always)]
-    fn on_event_drained(&mut self, shard: usize, kind: EventKind) {
-        self.0.on_event_drained(shard, kind);
-        self.1.on_event_drained(shard, kind);
+    fn on_event_drained(&mut self, cluster: usize, kind: EventKind) {
+        self.0.on_event_drained(cluster, kind);
+        self.1.on_event_drained(cluster, kind);
     }
 
     #[inline(always)]

@@ -15,26 +15,28 @@
 //! lives in its own submodule operating on that state:
 //!
 //! - `domain` — the per-cluster [`ClusterDomain`]: the state one
-//!   cluster owns exclusively (calendar shard, scheduler ring,
-//!   occupancies, value-copy tables).
-//! - `events` — the global event coordinator and every event handler
-//!   (writeback, address resolution, LSQ arrival, store broadcast).
+//!   cluster owns exclusively (scheduler ring, occupancies, value-copy
+//!   tables).
+//! - `events` — the machine-wide event calendar and every event
+//!   handler (writeback, address resolution, LSQ arrival, store
+//!   broadcast).
 //! - `commit` — in-order retirement, policy requests, and
 //!   reconfiguration.
 //! - `issue` — per-cluster select/issue with quiescence skipping.
 //! - `dispatch` — rename, steering, and structural-hazard checks.
 //! - `fetch` — branch prediction and the fetch queue.
 //!
-//! # Sharding and quiescence
+//! # Event calendar and quiescence
 //!
-//! The event queue is sharded per physical cluster and the issue stage
-//! keeps a bitmask of clusters with queued instructions, so a cycle's
-//! cost scales with the *busy* clusters, not the configured width:
-//! quiescent clusters — including every cluster beyond the active
-//! count — are skipped in O(1). Event order is still the global
-//! `(time, tick)` order of a single queue, so the computed schedule is
-//! bit-identical to the pre-sharding simulator (see DESIGN.md and the
-//! oracle pin in `tests/shard_equivalence.rs`).
+//! Events wait in one machine-wide calendar ring whose `next_due`
+//! watermark makes a cycle with nothing due cost one comparison, and
+//! the issue stage keeps a bitmask of clusters with queued
+//! instructions, so a cycle's cost scales with the *busy* clusters,
+//! not the configured width: quiescent clusters — including every
+//! cluster beyond the active count — are skipped in O(1). Events fire
+//! in the global `(time, tick)` order of a single min-heap, so the
+//! computed schedule is bit-identical to the heap-based simulator (see
+//! DESIGN.md and the oracle pin in `tests/shard_equivalence.rs`).
 
 mod commit;
 mod dispatch;
@@ -52,14 +54,14 @@ use crate::crit::CriticalityPredictor;
 use crate::host::HOST_STAGE_COUNT;
 use crate::interconnect::Interconnect;
 use crate::lsq::LsqSlice;
-use crate::observe::{NullObserver, SimObserver};
+use crate::observe::{EventKind, NullObserver, SimObserver, EVENT_KIND_COUNT};
 use crate::reconfig::ReconfigPolicy;
 use crate::stats::SimStats;
 use crate::steer::{Steering, SteeringKind};
 use clustered_emu::{DecodedInst, TraceSource};
 use clustered_isa::{ArchReg, OpClass};
 use domain::ClusterDomain;
-use events::EventCoordinator;
+use events::EventCalendar;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -313,10 +315,10 @@ pub struct Processor<T, O = NullObserver> {
     crit: CriticalityPredictor,
     steering: Steering,
     /// One [`ClusterDomain`] per physical cluster: the scheduler ring,
-    /// calendar shard, IQ/free-reg occupancy, and value-availability
-    /// state that cluster owns exclusively. Everything cross-cluster —
-    /// register copies, interconnect hops, LSQ/cache traffic, commit —
-    /// goes through the event coordinator or runs on the main thread.
+    /// IQ/free-reg occupancy, and value-availability state that cluster
+    /// owns exclusively. Everything cross-cluster — register copies,
+    /// interconnect hops, LSQ/cache traffic, commit — goes through the
+    /// event calendar or the shared stages.
     domains: Vec<ClusterDomain>,
     lsq: Vec<LsqSlice>,
     rob: RobRing,
@@ -330,9 +332,8 @@ pub struct Processor<T, O = NullObserver> {
     awaiting_redirect: bool,
     dispatch_stall_until: u64,
     trace_done: bool,
-    /// Global `(time, tick)` ordering state over the domains' calendar
-    /// shards.
-    events: EventCoordinator,
+    /// The machine-wide event queue, drained in `(time, tick)` order.
+    events: EventCalendar,
     /// Bit `c` set ⇔ cluster `c` has queued (dispatched, operands
     /// ready or pending) instructions; the issue stage visits only set
     /// bits. Maintained by [`Processor::cluster_enqueue`] and the
@@ -347,6 +348,8 @@ pub struct Processor<T, O = NullObserver> {
     /// Scratch for draining `loads_waiting_data` matches without
     /// holding a borrow across `proceed_load`.
     waiting_scratch: Vec<(u64, usize)>,
+    /// Scratch for the parked loads a resolved store frees.
+    freed_scratch: Vec<u64>,
     now: u64,
     active: usize,
     pending_reconfig: Option<usize>,
@@ -483,10 +486,11 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             awaiting_redirect: false,
             dispatch_stall_until: 0,
             trace_done: false,
-            events: EventCoordinator::new(count),
+            events: EventCalendar::new(),
             queued_mask: 0,
             loads_waiting_data: Vec::new(),
             waiting_scratch: Vec::new(),
+            freed_scratch: Vec::new(),
             now: 0,
             active: initial,
             pending_reconfig: None,
@@ -581,15 +585,18 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// observer gets every drained event, every cycle's busy-cluster
     /// mask, and — on the cycles [`crate::is_timed_cycle`] picks, about
     /// one in [`crate::STAGE_CLOCK_PERIOD`] — per-stage wall-clock and a
-    /// queue-health sample. Every hook only *reads* machine state, so
+    /// queue-health sample; on a disjoint sample of the same rate, the
+    /// event drain's wall-clock per [`EventKind`]. Every hook only
+    /// *reads* machine state, so
     /// observed runs compute the bit-identical schedule (pinned by the
     /// host-profile and audit tests).
     fn step_cycle(&mut self) {
         self.now += 1;
         let timed = O::WANTS_HOST_PROFILE && crate::host::is_timed_cycle(self.now);
+        let drain_timed = O::WANTS_HOST_PROFILE && crate::host::is_drain_timed_cycle(self.now);
         let floor_before = self.events.floor();
-        let mut clock = StageClock::start(timed);
-        self.drain_events();
+        let mut clock = StageClock::start(timed, drain_timed);
+        self.drain_events(&mut clock);
         clock.mark(1);
         self.commit();
         self.apply_reconfig();
@@ -611,6 +618,9 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
                 self.observer.on_stage_nanos(&nanos);
                 self.deliver_queue_health(floor_before);
             }
+            if let Some(nanos) = clock.drain_nanos() {
+                self.observer.on_drain_nanos(&nanos);
+            }
             self.observer.on_busy_clusters(self.now, self.queued_mask);
         }
         if O::WANTS_AUDIT {
@@ -619,9 +629,9 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     }
 
     /// Samples calendar-queue health for the host profiler; called on
-    /// timed cycles only (the sample is O(configured clusters)).
+    /// timed cycles only.
     fn deliver_queue_health(&mut self, floor_before: u64) {
-        let (calendar_events, overflow_events, floor) = self.events.health(&self.domains);
+        let (calendar_events, overflow_events, floor) = self.events.health();
         self.observer.on_queue_health(&crate::host::QueueHealth {
             cycle: self.now,
             calendar_events,
@@ -637,8 +647,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// Assembles the end-of-cycle [`crate::AuditCheck`] snapshot and
     /// hands it to the observer. Called only when `O::WANTS_AUDIT`.
     fn deliver_audit(&mut self) {
-        let (events_pushed, events_popped, events_pending) =
-            self.events.conservation(&self.domains);
+        let (events_pushed, events_popped, events_pending) = self.events.conservation();
         // The auditor's dense `[domain][cluster]` view, assembled from
         // the per-domain owners; audit is off the hot path.
         let mut iq_used = [[0usize; MAX_CLUSTERS]; 2];
@@ -691,18 +700,29 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     }
 }
 
-/// The host profiler's sampled stage clock: on a timed cycle it holds
-/// one `Instant` per stage boundary, on every other cycle (and always
-/// when the observer does not profile) nothing, so each `mark` is a
-/// predictable branch and no clock is read.
+/// The host profiler's sampled clocks: on a timed cycle, one `Instant`
+/// per stage boundary; on a drain-timed cycle, one per drained event.
+/// On every other cycle (and always when the observer does not
+/// profile) each `mark` and `lap` is a predictable branch and no clock
+/// is read.
 struct StageClock {
     marks: Option<[Instant; HOST_STAGE_COUNT + 1]>,
+    /// On a drain-timed cycle, the previous lap (at first, the drain's
+    /// start).
+    last_lap: Option<Instant>,
+    /// Event-drain nanoseconds per [`EventKind`] this cycle, net of
+    /// each lap's clock read.
+    drain: [u64; EVENT_KIND_COUNT],
 }
 
 impl StageClock {
     #[inline(always)]
-    fn start(timed: bool) -> StageClock {
-        StageClock { marks: timed.then(|| [Instant::now(); HOST_STAGE_COUNT + 1]) }
+    fn start(timed: bool, drain_timed: bool) -> StageClock {
+        StageClock {
+            marks: timed.then(|| [Instant::now(); HOST_STAGE_COUNT + 1]),
+            last_lap: drain_timed.then(Instant::now),
+            drain: [0; EVENT_KIND_COUNT],
+        }
     }
 
     /// Records the end of stage `boundary - 1` (in `HostStage::ALL`
@@ -714,6 +734,18 @@ impl StageClock {
         }
     }
 
+    /// Charges the time since the previous lap (or the drain's start)
+    /// to `kind`: one drained event's pop and handler.
+    #[inline(always)]
+    fn lap(&mut self, kind: EventKind) {
+        if let Some(last) = &mut self.last_lap {
+            let now = Instant::now();
+            let nanos = now.duration_since(*last).as_nanos() as u64;
+            self.drain[kind.index()] += nanos.saturating_sub(crate::host::clock_read_nanos());
+            *last = now;
+        }
+    }
+
     /// Per-stage nanoseconds of a timed cycle, net of the clock read
     /// each interval spans.
     fn nanos(&self) -> Option<[u64; HOST_STAGE_COUNT]> {
@@ -722,6 +754,11 @@ impl StageClock {
         Some(std::array::from_fn(|i| {
             (marks[i + 1].duration_since(marks[i]).as_nanos() as u64).saturating_sub(read)
         }))
+    }
+
+    /// Per-kind event-drain nanoseconds of a drain-timed cycle.
+    fn drain_nanos(&self) -> Option<[u64; EVENT_KIND_COUNT]> {
+        self.last_lap.map(|_| self.drain)
     }
 }
 

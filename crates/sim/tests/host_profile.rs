@@ -4,8 +4,8 @@
 //! stage clock must time a deterministic set of cycles.
 
 use clustered_sim::{
-    is_timed_cycle, FixedPolicy, HostProfiler, HostStage, Processor, QueueHealth, SimConfig,
-    SimObserver, SimStats, SteeringKind, STAGE_CLOCK_PERIOD,
+    is_timed_cycle, CacheModel, FixedPolicy, HostProfiler, HostStage, Processor, QueueHealth,
+    SimConfig, SimObserver, SimStats, SteeringKind, STAGE_CLOCK_PERIOD,
 };
 use clustered_workloads::by_name;
 
@@ -196,4 +196,63 @@ fn reset_discards_warmup_from_the_profile() {
     for s in p.slices() {
         assert!(s.start_cycle >= warm, "no slice reaches back into the warmup");
     }
+}
+
+/// Runs gzip under `FixedPolicy(active)` on the default 16-cluster
+/// machine: `warmup` instructions, a profiler reset, then `measure`.
+fn fixed_run(active: usize, model: CacheModel, warmup: u64, measure: u64) -> HostProfiler {
+    let mut cfg = SimConfig::default();
+    cfg.cache.model = model;
+    let w = by_name("gzip").expect("gzip workload exists");
+    let stream = w.trace().map(Result::unwrap);
+    let mut cpu = Processor::with_observer(
+        cfg,
+        stream,
+        Box::new(FixedPolicy::new(active)),
+        SteeringKind::default(),
+        HostProfiler::new(10_000),
+    )
+    .expect("valid config");
+    cpu.run(warmup).expect("no stall");
+    cpu.observer_mut().reset();
+    cpu.run(measure).expect("no stall");
+    cpu.observer().clone()
+}
+
+/// Drained events are attributed to the cluster or LSQ slice they were
+/// scheduled for: on a fixed-N run nothing lands beyond cluster N, and
+/// the per-cluster and per-kind counts each account for every drain.
+#[test]
+fn drains_are_attributed_to_active_clusters_only() {
+    for model in [CacheModel::Centralized, CacheModel::Decentralized] {
+        for active in [1, 2, 4, 8, 16] {
+            let p = fixed_run(active, model, 2_000, 10_000);
+            assert!(p.drained_total() > 0, "{model:?}/{active}: a gzip run drains events");
+            for (c, &n) in p.drained_events().iter().enumerate().skip(active) {
+                assert_eq!(n, 0, "{model:?}/{active}: cluster {c} is inactive but drained {n}");
+            }
+            assert_eq!(p.drained_events().iter().sum::<u64>(), p.drained_total());
+            assert_eq!(p.drained_by_kind().iter().sum::<u64>(), p.drained_total());
+        }
+    }
+}
+
+/// The drain attribution of gzip on 16 of 16 clusters with the
+/// decentralized cache (50K + 400K instructions), pinned to the counts
+/// `clustered perf --json` reported when every cluster still had an
+/// event queue of its own. Both are exact counts, so a machine-wide
+/// queue whose labels name the destination must reproduce them.
+#[test]
+fn drain_attribution_matches_the_per_cluster_queues() {
+    let p = fixed_run(16, CacheModel::Decentralized, 50_000, 400_000);
+    assert_eq!(
+        p.drained_events(),
+        &[
+            58070, 53459, 50529, 50210, 47192, 46158, 45311, 44836, 43446, 43374, 43787, 43518,
+            43767, 46099, 44627, 45562
+        ]
+    );
+    // write_back, load_addr, store_addr, load_at_lsq, store_resolved.
+    assert_eq!(p.drained_by_kind(), &[400022, 89919, 10005, 89919, 160080]);
+    assert_eq!(p.drained_total(), 749945);
 }

@@ -14,13 +14,17 @@ cargo test --workspace --quiet
 
 echo "==> schedule oracles under debug assertions"
 # The backend's hot-loop rebuild leans on invariants that only
-# debug_assert! checks (event floor monotonicity, slot-window span,
+# debug_assert! checks (event floor and calendar window, slot-window span,
 # ROB indexing): run the bit-identity oracles explicitly in a
 # debug-assertions build so a latent violation panics here rather
 # than silently shipping. Explicit even though the workspace test run
 # above also covers them — this gate must survive that step ever
 # moving to --release.
 cargo test --quiet --test shard_equivalence --test compiled_replay
+# The event calendar's unit tests, including the randomized run against
+# a reference (time, tick) min-heap, under the floor and window
+# debug_assert!s.
+cargo test --quiet -p clustered-sim --lib pipeline::events
 
 echo "==> flat-scheduler property suite (slow-tests feature)"
 # Model-based equivalence of Cluster::select against the reference

@@ -981,11 +981,20 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     for stage in HostStage::ALL {
         println!("  {:<17} {:>5.1}%", stage.as_str(), 100.0 * p.stage_share(stage));
     }
-    println!("drained events      {} (max/mean shard skew {:.2}), by kind:", p.drained_total(), p.drained_skew());
+    println!(
+        "drained events      {} (max/mean cluster skew {:.2}), by kind (share, count, ns/event):",
+        p.drained_total(),
+        p.drained_skew()
+    );
     for kind in EventKind::ALL {
         let n = p.drained_by_kind()[kind.index()];
         let share = if p.drained_total() > 0 { n as f64 / p.drained_total() as f64 } else { 0.0 };
-        println!("  {:<17} {:>5.1}%  {n}", kind.as_str(), 100.0 * share);
+        println!(
+            "  {:<17} {:>5.1}%  {n:>9}  {:>7.1}",
+            kind.as_str(),
+            100.0 * share,
+            p.drain_ns_per_event(kind)
+        );
     }
     println!("fully quiescent     {} of {} cycles", p.fully_quiescent_cycles(), p.cycles());
     println!("profile slices      {} ({} dropped)", p.slices().len(), p.dropped_slices());

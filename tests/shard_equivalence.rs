@@ -1,5 +1,6 @@
-//! Shard-equivalence suite: the per-cluster event-queue sharding is a
-//! pure restructuring of *how* the schedule is computed, so measured
+//! Shard-equivalence suite: the per-cluster event-queue sharding (and
+//! its later merge back into one machine-wide calendar) is a pure
+//! restructuring of *how* the schedule is computed, so measured
 //! [`SimStats`] must stay bit-identical across it. This suite runs the
 //! full workload × cluster-count × policy-family × cache-model matrix
 //! and pins every counter against `tests/shard_oracle.json`, captured
